@@ -3,11 +3,14 @@
 The analysis works on network-stacked quantities: parameter errors of all
 nodes concatenated into one vector of length N*M. Conditioned on fixed
 combine and cooperation weights, the stacked error follows a linear
-recursion whose transition matrix determines mean stability, and whose
-second-order lift determines the steady-state mean-square deviation. The
-forcing has three parts: gradient noise, the spread of the random
-parameters across clusters, and a cross term that couples the error with
-that spread; dropping the cross term gives the cheaper approximate MSD.
+recursion whose transition matrix B determines mean stability. The
+steady-state mean-square deviation solves the Stein equation
+``S = B' S B + Y`` on N*M x N*M matrices; the map ``S -> B' S B`` has
+spectral radius exactly ``rho(B)**2``, so mean-square stability is mean
+stability. The forcing has three parts: gradient noise, the spread of the
+random parameters across clusters, and a cross term that couples the
+error with that spread; dropping the cross term gives the cheaper
+approximate MSD.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .topology import ClusteredTopology, kron_expand
 __all__ = [
     "vec",
     "mean_transition",
-    "variance_transition",
     "sampled_variance_transition",
     "spectral_radius",
     "mean_stability_bounds",
@@ -30,6 +32,7 @@ __all__ = [
     "mean_bias_vector",
     "mean_error_trajectory",
     "msd_forcing_terms",
+    "solve_stein",
     "steady_state_msd",
     "TheoryReport",
     "analyze",
@@ -37,6 +40,7 @@ __all__ = [
 
 SIZE_CAP = 64
 SOLVE_RESIDUAL_TOL = 1e-10
+STEIN_MAX_DOUBLINGS = 64
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -77,36 +81,9 @@ def mean_transition(
     return big_combine.T @ big_coop.T @ (identity - step_size_matrix(model) @ regressor_moment(model))
 
 
-def spectral_radius(matrix: np.ndarray, dense_cutoff: int = 256) -> float:
-    """Largest eigenvalue magnitude; power iteration above the cutoff."""
-    n = matrix.shape[0]
-    if n <= dense_cutoff:
-        return float(np.max(np.abs(np.linalg.eigvals(matrix))))
-    rng = np.random.default_rng(0)
-    vector = rng.standard_normal(n)
-    vector /= np.linalg.norm(vector)
-    estimate = 0.0
-    for _ in range(500):
-        nxt = matrix @ vector
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return 0.0
-        vector = nxt / norm
-        estimate = norm
-    return float(estimate)
-
-
-def variance_transition(transition: np.ndarray, size_cap: int = SIZE_CAP) -> np.ndarray:
-    """Second-order lift ``kron(B', B')`` of the mean transition.
-
-    Guarded by a size cap because the result is quadratically larger.
-    """
-    n = transition.shape[0]
-    if n > size_cap:
-        raise ValueError(
-            f"stacked dimension {n} exceeds the size cap {size_cap} for squared-size operators"
-        )
-    return np.kron(transition.T, transition.T)
+def spectral_radius(matrix: np.ndarray) -> float:
+    """Largest eigenvalue magnitude."""
+    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
 def sampled_variance_transition(
@@ -254,47 +231,67 @@ def _cluster_indicators(model: SignalModel) -> list[np.ndarray]:
     return indicators
 
 
+def solve_stein(transition: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``S = B' S B + Y`` for a stack of right-hand sides Y, (K, n, n).
+
+    Smith doubling: the solution is ``sum_j A^j Y A'^j`` with ``A = B'``,
+    and each step ``S <- S + A S A'``, ``A <- A A`` doubles the summed
+    terms. Raises ``ArithmeticError`` if S still changes after
+    ``STEIN_MAX_DOUBLINGS`` steps, or if the residual exceeds
+    ``SOLVE_RESIDUAL_TOL`` relative to Y.
+    """
+    power, solution = transition.T, np.asarray(rhs, dtype=float)
+    for _ in range(STEIN_MAX_DOUBLINGS):
+        update = power @ solution @ power.T
+        solution = solution + update
+        change = np.linalg.norm(update, axis=(1, 2))
+        if np.all(change <= np.finfo(float).eps * np.linalg.norm(solution, axis=(1, 2))):
+            break
+        power = power @ power
+    else:
+        raise ArithmeticError(f"Stein doubling did not converge in {STEIN_MAX_DOUBLINGS} steps")
+    residual = solution - transition.T @ solution @ transition - rhs
+    residual = np.linalg.norm(residual) / np.linalg.norm(rhs)
+    if residual > SOLVE_RESIDUAL_TOL:
+        raise ArithmeticError(f"variance solve residual {residual!r} exceeds tolerance")
+    return solution
+
+
 def steady_state_msd(
     combine: np.ndarray,
     cooperation: np.ndarray,
     model: SignalModel,
-    size_cap: int = SIZE_CAP,
     per_cluster: bool = False,
 ) -> "tuple[float, float] | tuple[float, float, np.ndarray]":
     """Closed-form network MSD and its cross-term-free approximation.
 
-    Solves the steady-state weighted-variance relation by LU-backed
-    linear solves with a relative-residual check; the inverse is never
-    formed. With ``per_cluster`` the deviation is also split per cluster.
+    Solves the Stein equation ``S = B' S B + I`` and returns ``<F, S> / N``
+    for the full and the approximate forcing F. With ``per_cluster`` each
+    cluster indicator is one more right-hand side of the same solve, and
+    the cluster deviation is ``<F, S_p> / size_p``.
     """
     transition = mean_transition(combine, cooperation, model)
-    lifted = variance_transition(transition, size_cap=size_cap)
-    rho_lifted = spectral_radius(lifted)
-    if rho_lifted >= 1.0:
-        raise ValueError(f"mean-square-unstable configuration, lifted radius {rho_lifted!r}")
+    rho_variance = spectral_radius(transition) ** 2
+    if rho_variance >= 1.0:
+        raise ValueError(f"mean-square-unstable configuration, variance radius {rho_variance!r}")
     terms = msd_forcing_terms(combine, cooperation, model)
 
-    n_stack = transition.shape[0]
-    system = np.eye(lifted.shape[0]) - lifted
-    rhs = [vec(np.eye(n_stack))]
+    rhs = [np.eye(transition.shape[0])]
     if per_cluster:
-        rhs.extend(vec(ind) for ind in _cluster_indicators(model))
-    rhs_mat = np.stack(rhs, axis=1)
-    solution = np.linalg.solve(system, rhs_mat)
-    residual = np.linalg.norm(system @ solution - rhs_mat) / np.linalg.norm(rhs_mat)
-    if residual > SOLVE_RESIDUAL_TOL:
-        raise ArithmeticError(f"variance solve residual {residual!r} exceeds tolerance")
+        rhs.extend(_cluster_indicators(model))
+    # column-major vectorization of each solution, as in the forcing terms
+    solution = np.swapaxes(solve_stein(transition, np.stack(rhs)), 1, 2).reshape(len(rhs), -1)
 
     full = terms.gradient_noise + terms.parameter_spread + terms.cross_limit
     approx = terms.gradient_noise + terms.parameter_spread
     n_nodes = model.n_nodes
-    msd = float(full @ solution[:, 0]) / n_nodes
-    msd_approx = float(approx @ solution[:, 0]) / n_nodes
+    msd = float(full @ solution[0]) / n_nodes
+    msd_approx = float(approx @ solution[0]) / n_nodes
     if not per_cluster:
         return msd, msd_approx
     sizes = np.bincount(model.cluster_of, minlength=model.n_clusters)
     cluster_msd = np.array(
-        [float(full @ solution[:, 1 + p]) / sizes[p] for p in range(model.n_clusters)]
+        [float(full @ solution[1 + p]) / sizes[p] for p in range(model.n_clusters)]
     )
     return msd, msd_approx, cluster_msd
 
@@ -341,31 +338,28 @@ def analyze(
     combine: np.ndarray,
     cooperation: np.ndarray,
     model: SignalModel,
-    size_cap: int = SIZE_CAP,
     per_cluster: bool = True,
 ) -> TheoryReport:
-    """Full report: stability characterization plus steady-state deviations."""
-    transition = mean_transition(combine, cooperation, model)
-    rho_mean = spectral_radius(transition)
+    """Full report: stability characterization plus steady-state deviations.
+
+    ``rho_variance``, the radius of ``S -> B' S B``, is exactly ``rho_mean**2``.
+    """
+    rho_mean = spectral_radius(mean_transition(combine, cooperation, model))
     bounds, mean_stable = mean_stability_bounds(model)
-    lifted_rho = spectral_radius(variance_transition(transition, size_cap=size_cap))
-    stable = lifted_rho < 1.0 and rho_mean < 1.0
-    msd = msd_approx = None
-    cluster_msd = None
+    stable = rho_mean < 1.0
+    msd = msd_approx = cluster_msd = None
     if stable:
-        if per_cluster:
-            msd, msd_approx, cluster_msd = steady_state_msd(
-                combine, cooperation, model, size_cap=size_cap, per_cluster=True
-            )
-        else:
-            msd, msd_approx = steady_state_msd(combine, cooperation, model, size_cap=size_cap)
+        msd, msd_approx, *split = steady_state_msd(
+            combine, cooperation, model, per_cluster=per_cluster
+        )
+        cluster_msd = split[0] if per_cluster else None
     return TheoryReport(
         rho_mean=rho_mean,
-        rho_variance=lifted_rho,
+        rho_variance=rho_mean**2,
         contraction=contraction_bound(model),
         step_bounds=bounds,
         mean_stable=mean_stable,
-        mean_square_stable=lifted_rho < 1.0,
+        mean_square_stable=stable,
         msd=msd,
         msd_approx=msd_approx,
         cluster_msd=cluster_msd,

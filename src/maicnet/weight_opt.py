@@ -39,23 +39,31 @@ EPS_RIDGE = 1e-12
 KKT_ACTIVE_TOL = 1e-10
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex.
+def project_simplex(v: np.ndarray, mask: "np.ndarray | None" = None) -> np.ndarray:
+    """Euclidean projection onto the probability simplex along the last axis.
 
     Sort-and-threshold method: with the entries sorted in decreasing
     order, find the largest prefix whose running average shifted to unit
-    sum stays below its last element, then clip at that shift.
+    sum stays below its last element, then clip at that shift. With a
+    boolean ``mask`` each row is projected onto the simplex over its
+    ``True`` entries and is zero elsewhere.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
+    if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("expects a nonempty vector")
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    ranks = np.arange(1, v.size + 1)
-    mask = u + (1.0 - cumulative) / ranks > 0.0
-    rho = int(np.max(np.flatnonzero(mask)))
-    shift = (1.0 - cumulative[rho]) / (rho + 1.0)
-    return np.clip(v + shift, 0.0, None)
+    if mask is not None:
+        if not np.all(np.any(mask, axis=-1)):
+            raise ValueError("every row needs a nonempty support")
+        # off-support entries sort last and never pass the threshold test
+        v = np.where(mask, v, -np.inf)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    cumulative = np.cumsum(u, axis=-1)
+    ranks = np.arange(1, v.shape[-1] + 1)
+    inside = (1.0 - cumulative) / ranks > -u
+    count = np.where(inside, ranks, 0).max(axis=-1)
+    rows = np.arange(count.size).reshape(count.shape)
+    shift = (1.0 - cumulative.reshape(-1, v.shape[-1])[rows, count - 1]) / count
+    return np.clip(v + shift[..., None], 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -335,14 +343,6 @@ def build_centralized_qp(
     )
 
 
-def _project_columns(coop: np.ndarray, support_mask: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(coop)
-    for k in range(coop.shape[1]):
-        idx = np.flatnonzero(support_mask[:, k])
-        out[idx, k] = project_simplex(coop[idx, k])
-    return out
-
-
 def solve_p1(
     model: SignalModel,
     topology: ClusteredTopology,
@@ -368,7 +368,7 @@ def solve_p1(
         grad_now = qp.gradient(point)
         return max(kkt_residual(point[idx, k], grad_now[idx, k]) for k, idx in enumerate(columns))
 
-    coop = _project_columns(np.where(mask, 1.0, 0.0), mask)
+    coop = project_simplex(np.where(mask, 1.0, 0.0).T, mask.T).T
     momentum = coop.copy()
     t = 1.0
     residual = float("inf")
@@ -376,7 +376,7 @@ def solve_p1(
     check_every = 25
     for iterations in range(1, max_iters + 1):
         grad = qp.gradient(momentum)
-        coop_next = _project_columns(momentum - step * grad, mask)
+        coop_next = project_simplex((momentum - step * grad).T, mask.T).T
         if np.vdot(momentum - coop_next, coop_next - coop) > 0.0:
             t = 1.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))

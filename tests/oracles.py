@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from maicnet.theory import SIZE_CAP
+from maicnet.weight_opt import project_simplex
+
 
 def simplex_grid(n: int, resolution: float = 1e-3) -> np.ndarray:
     """Every point of the probability simplex on a regular grid.
@@ -142,6 +145,19 @@ def cross_forcing_fixed_point(
     raise RuntimeError("coupling fixed point did not converge")
 
 
+def variance_transition(transition: np.ndarray, size_cap: int = SIZE_CAP) -> np.ndarray:
+    """Second-order lift ``kron(B', B')`` of the mean transition.
+
+    Guarded by a size cap because the result is quadratically larger.
+    """
+    n = transition.shape[0]
+    if n > size_cap:
+        raise ValueError(
+            f"stacked dimension {n} exceeds the size cap {size_cap} for squared-size operators"
+        )
+    return np.kron(transition.T, transition.T)
+
+
 def lifted_transition_bruteforce(transition: np.ndarray) -> np.ndarray:
     """Second-order lift spelled out with four explicit indices.
 
@@ -155,6 +171,15 @@ def lifted_transition_bruteforce(transition: np.ndarray) -> np.ndarray:
             for k in range(n):
                 for l in range(n):
                     out[i + j * n, k + l * n] = transition[k, i] * transition[l, j]
+    return out
+
+
+def project_columns_loop(coop: np.ndarray, support_mask: np.ndarray) -> np.ndarray:
+    """Project each column onto the simplex over its support, one at a time."""
+    out = np.zeros_like(coop)
+    for k in range(coop.shape[1]):
+        idx = np.flatnonzero(support_mask[:, k])
+        out[idx, k] = project_simplex(coop[idx, k])
     return out
 
 

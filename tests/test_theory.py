@@ -17,8 +17,8 @@ from maicnet.theory import (
     msd_forcing_terms,
     sampled_variance_transition,
     spectral_radius,
+    solve_stein,
     steady_state_msd,
-    variance_transition,
     vec,
 )
 from maicnet.topology import averaging_rule_weights, metropolis_weights
@@ -29,6 +29,7 @@ from oracles import (
     mean_transition_reference,
     msd_series,
     random_cooperation,
+    variance_transition,
 )
 
 SCALAR_MSD = 1e-4 / 0.19  # mu^2 sigma_v^2 sigma_u^2 / (1 - (1 - mu sigma_u^2)^2)
@@ -151,6 +152,56 @@ class TestVarianceTransition:
         assert rho > spectral_radius(variance_transition(np.array([[0.9]])))
 
 
+def _scaled_to_radius(rng, n, radius):
+    """Random nonsymmetric matrix rescaled to the given spectral radius."""
+    b = rng.standard_normal((n, n))
+    return b * (radius / spectral_radius(b))
+
+
+def _lifted_solve(transition, rhs):
+    """Solve ``S = B' S B + Y`` through the Kronecker lift, column-major."""
+    n = transition.shape[0]
+    system = np.eye(n * n) - variance_transition(transition)
+    return np.linalg.solve(system, vec(rhs)).reshape(n, n, order="F")
+
+
+class TestSteinSolve:
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    def test_matches_the_lifted_solve(self, n):
+        rng = np.random.default_rng(300 + n)
+        transition = _scaled_to_radius(rng, n, 0.95)
+        groups = rng.permutation(np.arange(n) % min(n, 3))
+        rhs = [np.eye(n)] + [np.diag((groups == p).astype(float)) for p in range(min(n, 3))]
+        solution = solve_stein(transition, np.stack(rhs))
+        for s, y in zip(solution, rhs):
+            reference = _lifted_solve(transition, y)
+            assert np.linalg.norm(s - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_cluster_msd_matches_the_lifted_solve(self, two_cluster_line, line_model):
+        combine, _ = _line_weights(two_cluster_line)
+        coop = _coop_from_regularizer(two_cluster_line, line_model)
+        _, _, cluster_msd = steady_state_msd(combine, coop, line_model, per_cluster=True)
+        transition = mean_transition(combine, coop, line_model)
+        terms = msd_forcing_terms(combine, coop, line_model)
+        full = terms.gradient_noise + terms.parameter_spread + terms.cross_limit
+        for p, size in enumerate(np.bincount(line_model.cluster_of)):
+            indicator = np.diag((line_model.cluster_of == p).astype(float))
+            reference = full @ vec(_lifted_solve(transition, indicator)) / size
+            assert np.isclose(cluster_msd[p], reference, rtol=1e-12, atol=0.0)
+
+    def test_near_unit_radius_converges(self):
+        transition = _scaled_to_radius(np.random.default_rng(8), 6, np.sqrt(0.9995))
+        assert spectral_radius(transition) ** 2 >= 0.999
+        # raises if the doubling cap or the residual check is hit
+        solution = solve_stein(transition, np.eye(6)[None])[0]
+        reference = _lifted_solve(transition, np.eye(6))
+        assert np.linalg.norm(solution - reference) <= 1e-9 * np.linalg.norm(reference)
+
+    def test_unit_radius_hits_the_doubling_cap(self):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            solve_stein(np.eye(2), np.eye(2)[None])
+
+
 class TestForcingTerms:
     def test_noise_and_spread_match_looped_assembly(self, two_cluster_line, line_model):
         combine, _ = _line_weights(two_cluster_line)
@@ -268,6 +319,21 @@ class TestAnalyze:
         assert np.isclose(report.msd, direct[0], rtol=1e-12)
         assert report.msd_db == pytest.approx(10 * np.log10(report.msd))
         assert report.cluster_msd.shape == (2,)
+
+    def test_variance_radius_is_exactly_the_squared_mean_radius(
+        self, two_cluster_line, line_model, scalar_node
+    ):
+        from dataclasses import replace
+
+        combine, _ = _line_weights(two_cluster_line)
+        rng = np.random.default_rng(31)
+        _, scalar = scalar_node
+        cases = [(combine, random_cooperation(two_cluster_line, rng), line_model) for _ in range(5)]
+        cases.append((np.eye(1), np.eye(1), replace(scalar, step_sizes=np.array([3.0]))))
+        for combine_, coop, model in cases:
+            report = analyze(combine_, coop, model)
+            assert report.rho_variance == report.rho_mean**2
+            assert report.mean_square_stable == (report.rho_mean < 1.0)
 
     def test_unstable_report_carries_no_deviation(self, scalar_node):
         from dataclasses import replace

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -27,13 +27,33 @@ from maicnet.weight_opt import (
     solve_simplex_qp,
     solve_simplex_qp_batch,
 )
-from oracles import grid_min_quadratic, grid_nearest_simplex_point
+from oracles import grid_min_quadratic, grid_nearest_simplex_point, project_columns_loop
 
 finite_vectors = hnp.arrays(
     np.float64,
     st.integers(min_value=1, max_value=6),
     elements=st.floats(min_value=-20.0, max_value=20.0),
 )
+
+
+# A few exact values make ties and all-negative rows common; the wide
+# range checks that off-support entries never enter, whatever their value.
+tie_prone_floats = st.one_of(
+    st.sampled_from([-2.0, -0.5, 0.0, 0.25, 0.5, 1.0]),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@st.composite
+def masked_rows(draw):
+    """Rows of values with a ragged support mask, every row nonempty."""
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    n_cols = draw(st.integers(min_value=1, max_value=6))
+    values = draw(hnp.arrays(np.float64, (n_rows, n_cols), elements=tie_prone_floats))
+    mask = draw(hnp.arrays(np.bool_, (n_rows, n_cols)))
+    keep = draw(st.lists(st.integers(0, n_cols - 1), min_size=n_rows, max_size=n_rows))
+    mask[np.arange(n_rows), keep] = True
+    return values, mask
 
 
 def random_qp(rng: np.random.Generator, n: int) -> SimplexQP:
@@ -78,6 +98,29 @@ class TestProjection:
         own = np.sum((q - v) ** 2)
         competitor = np.min(np.sum((others - v) ** 2, axis=1))
         assert own <= competitor + 1e-9
+
+    @given(masked_rows())
+    @example(  # ties on and off the support
+        (np.array([[0.5, 0.5, 0.5, 0.5], [1.0, 1.0, -2.0, 1.0]]),
+         np.array([[True, True, False, True], [True, False, True, True]]))
+    )
+    @example(  # single-entry supports
+        (np.array([[-3.0, 7.0, 0.2], [4.0, -1.0, 0.0]]),
+         np.array([[True, False, False], [False, False, True]]))
+    )
+    @example(  # all-negative rows
+        (np.array([[-1.0, -2.0, -0.5], [-5.0, -5.0, -5.0]]),
+         np.array([[True, True, True], [True, True, False]]))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_masked_rows_match_the_column_loop(self, case):
+        values, mask = case
+        rows = project_simplex(values, mask)
+        assert np.array_equal(rows, project_columns_loop(values.T, mask.T).T)
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError, match="nonempty support"):
+            project_simplex(np.ones((2, 3)), np.array([[True, False, False], [False] * 3]))
 
     def test_matches_grid_at_coarse_resolution(self):
         rng = np.random.default_rng(12)
@@ -279,6 +322,21 @@ class TestCentralizedProgram:
         )
         coop_p2, _ = solve_p2_all_nodes(model, two_cluster_line, tol=1e-11)
         assert np.allclose(coop_p1, coop_p2, atol=1e-5)
+
+    def test_p1_matches_the_column_loop_on_preset_a(self, monkeypatch):
+        from maicnet import harness, presets, weight_opt
+
+        compiled = harness.compile_scenario(presets.get_scenario("a", strategies=("atc",)))
+        args = (compiled.models[0], compiled.topology, compiled.combine)
+        coop, solution = solve_p1(*args)
+        monkeypatch.setattr(
+            weight_opt,
+            "project_simplex",
+            lambda rows, mask: project_columns_loop(rows.T, mask.T).T,
+        )
+        coop_loop, solution_loop = solve_p1(*args)
+        assert solution.iterations == solution_loop.iterations
+        assert np.array_equal(coop, coop_loop)
 
 
 def _metropolis(topology):
