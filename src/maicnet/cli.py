@@ -168,16 +168,23 @@ def _cmd_simulate(args) -> int:
     result = harness.run_scenario(scenario, workers=args.workers)
     result.write_outputs(args.out)
     atc = result.curves.get("atc")
+    diverged = [name for name, curve in result.curves.items() if curve.n_valid_runs == 0]
     print(f"scenario {scenario.name}: {scenario.runs} runs x {scenario.iterations} iterations")
     for name, curve in result.curves.items():
-        line = f"  {name:16s} steady-state {curve.steady_state_db():8.3f} dB"
-        if atc is not None and name != "atc":
-            line += f"  gain over atc {harness.msd_gain(curve, atc):6.3f} dB"
         aborted = len(result.diagnostics["aborted"][name])
+        if name in diverged:
+            print(f"  {name:16s} all {aborted} runs diverged")
+            continue
+        line = f"  {name:16s} steady-state {curve.steady_state_db():8.3f} dB"
+        if atc is not None and name != "atc" and "atc" not in diverged:
+            line += f"  gain over atc {harness.msd_gain(curve, atc):6.3f} dB"
         if aborted:
             line += f"  ({aborted} aborted runs)"
         print(line)
     print(f"outputs in {args.out}")
+    if diverged:
+        print(f"error: every run diverged for {', '.join(diverged)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -60,6 +61,26 @@ KNOWN_STRATEGIES = (
 
 def to_db(x):
     return 10.0 * np.log10(x)
+
+
+def _require_fields(data, kind, what: str) -> None:
+    """Raise ValueError naming every field ``kind`` needs that ``data`` lacks."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = [f.name for f in fields(kind) if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ValueError(f"{what} is missing required field(s): {', '.join(missing)}")
+
+
+def _finite_or_none(value):
+    """Copy of a JSON-ready structure with every non-finite float set to None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -145,6 +166,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        _require_fields(data, cls, "scenario")
+        for index, segment in enumerate(data["segments"]):
+            _require_fields(segment, SegmentSpec, f"segment {index}")
         segments = tuple(
             SegmentSpec(
                 start=int(s["start"]),
@@ -560,19 +584,28 @@ class ScenarioResult:
         strategies_block = {}
         atc_curve = self.curves.get("atc")
         for name, curve in self.curves.items():
-            entry = {
-                "steady_state": curve.steady_state(),
-                "steady_state_db": curve.steady_state_db(),
-                "steady_se": curve.steady_se(),
-                "steady_se_db": curve.steady_se_db(),
-                "n_valid_runs": curve.n_valid_runs,
-                "cluster_steady": curve.cluster_steady().tolist(),
-                "cluster_steady_db": to_db(curve.cluster_steady()).tolist(),
-                "aborted_runs": len(self.diagnostics["aborted"].get(name, [])),
-                "qp_fallbacks": self.diagnostics["qp_fallbacks"].get(name, 0),
-            }
+            if curve.n_valid_runs:
+                entry = {
+                    "steady_state": curve.steady_state(),
+                    "steady_state_db": curve.steady_state_db(),
+                    "steady_se": curve.steady_se(),
+                    "steady_se_db": curve.steady_se_db(),
+                    "cluster_steady": curve.cluster_steady().tolist(),
+                    "cluster_steady_db": to_db(curve.cluster_steady()).tolist(),
+                }
+            else:  # every run diverged: there is nothing to average
+                entry = dict.fromkeys(
+                    ("steady_state", "steady_state_db", "steady_se", "steady_se_db",
+                     "cluster_steady", "cluster_steady_db")
+                )
+            entry["n_valid_runs"] = curve.n_valid_runs
+            entry["all_runs_diverged"] = curve.n_valid_runs == 0
+            entry["aborted_runs"] = len(self.diagnostics["aborted"].get(name, []))
+            entry["qp_fallbacks"] = self.diagnostics["qp_fallbacks"].get(name, 0)
             if atc_curve is not None and name != "atc":
-                gain, se = msd_gain_se(curve, atc_curve)
+                gain = se = None
+                if curve.n_valid_runs and atc_curve.n_valid_runs:
+                    gain, se = msd_gain_se(curve, atc_curve)
                 entry["gain_over_atc_db"] = gain
                 entry["gain_over_atc_se_db"] = se
             reports = self.reports.get(name)
@@ -580,12 +613,14 @@ class ScenarioResult:
             certs = self.certificates.get(name)
             entry["certificates"] = None if certs is None else list(certs)
             strategies_block[name] = entry
-        return {
-            "scenario": self.scenario.to_dict(),
-            "stream_digest": self.stream_digest,
-            "window_start": int(next(iter(self.curves.values())).window_start),
-            "strategies": strategies_block,
-        }
+        return _finite_or_none(
+            {
+                "scenario": self.scenario.to_dict(),
+                "stream_digest": self.stream_digest,
+                "window_start": int(next(iter(self.curves.values())).window_start),
+                "strategies": strategies_block,
+            }
+        )
 
     def write_outputs(self, out_dir) -> None:
         """Write curves.csv, summary.json, and per-strategy weight files."""
@@ -601,7 +636,7 @@ class ScenarioResult:
                 row = ",".join(f"{col[t]:.17g}" for col in columns)
                 handle.write(f"{t + 1},{row}\n")
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as handle:
-            json.dump(self.summary_dict(), handle, indent=2, sort_keys=True)
+            json.dump(self.summary_dict(), handle, indent=2, sort_keys=True, allow_nan=False)
             handle.write("\n")
         for name, stack in self.weights.items():
             path = os.path.join(out_dir, f"weights_{name}.csv")

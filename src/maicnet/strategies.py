@@ -186,26 +186,26 @@ def _solve_learned_columns(
     mask = topology.adjacency
     flat_power[:, mask] = alpha * flat_power[:, mask] + (1.0 - alpha) * sq_dist[:, mask]
 
+    # one solve per support size; a failed instance keeps only its own node
     learned = np.zeros((batch, n, n))
     fallbacks = 0
-    for k in range(n):
-        support = list(topology.inter_plus[k])
-        size = len(support)
+    for nodes, supports in topology.inter_plus_groups:
+        size = supports.shape[1]
         if size == 1:
-            learned[:, k, k] = 1.0
+            learned[:, nodes, nodes] = 1.0
             continue
-        candidates = flat_w[:, support, :]
-        quad = np.einsum("bim,bjm->bij", candidates, candidates)
+        candidates = flat_w[:, supports, :]
+        quad = np.einsum("bgim,bgjm->bgij", candidates, candidates)
         idx = np.arange(size)
-        quad[:, idx, idx] += flat_power[:, support, k]
-        lin = np.einsum("bim,bm->bi", candidates, flat_w[:, k, :])
-        column, ok = qp_solver(quad, lin)
-        bad = ~ok
+        quad[..., idx, idx] += flat_power[:, supports, nodes[:, None]]
+        lin = np.einsum("bgim,bgm->bgi", candidates, flat_w[:, nodes, :])
+        column, ok = qp_solver(quad.reshape(-1, size, size), lin.reshape(-1, size))
+        column = column.reshape(batch, nodes.size, size)
+        bad = ~ok.reshape(batch, nodes.size)
         if bad.any():
-            column[bad] = 0.0
-            column[bad, support.index(k)] = 1.0
+            column[bad] = (supports == nodes[:, None])[np.nonzero(bad)[1]]
             fallbacks += int(bad.sum())
-        learned[np.ix_(np.arange(batch), support, [k])] = column[:, :, None]
+        learned[:, supports, nodes[:, None]] = column
 
     state.fallback_count += fallbacks
     state.increment_power = flat_power.reshape(batch_shape + (n, n))

@@ -70,6 +70,9 @@ class ClusteredTopology:
 
     Instances are immutable once validated. Neighbor groups are derived
     eagerly and exposed as tuples of sorted node indices.
+    ``inter_plus_groups`` sorts the nodes by the size of their
+    ``inter_plus`` group: one ``(nodes, supports)`` pair per size, in
+    increasing size, with ``supports[g]`` the group of ``nodes[g]``.
     """
 
     adjacency: np.ndarray
@@ -78,6 +81,9 @@ class ClusteredTopology:
     intra: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     inter: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     inter_plus: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    inter_plus_groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         adjacency = np.asarray(self.adjacency, dtype=bool)
@@ -119,6 +125,13 @@ class ClusteredTopology:
             intra.append(tuple(int(j) for j in hood[same]))
             inter.append(tuple(int(j) for j in hood[~same]))
             inter_plus.append(tuple(sorted(set(hood[~same].tolist()) | {k})))
+        groups = []
+        for size in sorted({len(group) for group in inter_plus}):
+            nodes = np.array([k for k in range(n) if len(inter_plus[k]) == size])
+            supports = np.array([inter_plus[k] for k in nodes])
+            nodes.flags.writeable = False
+            supports.flags.writeable = False
+            groups.append((nodes, supports))
 
         adjacency.flags.writeable = False
         cluster_of.flags.writeable = False
@@ -128,6 +141,7 @@ class ClusteredTopology:
         object.__setattr__(self, "intra", tuple(intra))
         object.__setattr__(self, "inter", tuple(inter))
         object.__setattr__(self, "inter_plus", tuple(inter_plus))
+        object.__setattr__(self, "inter_plus_groups", tuple(groups))
 
         for p in range(len(labels)):
             members = np.flatnonzero(cluster_of == p)

@@ -12,6 +12,7 @@ small instances.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,11 +154,23 @@ def solve_simplex_qp(qp: SimplexQP, tol: float = 1e-8, max_iters: int = 10_000) 
     return QPSolution(q, qp.objective(q), residual, iterations, residual <= tol)
 
 
-def _enumerate_subsets(n: int) -> list[np.ndarray]:
-    subsets = []
-    for bits in range(1, 2**n):
-        subsets.append(np.flatnonzero([(bits >> j) & 1 for j in range(n)]))
-    return subsets
+@functools.lru_cache(maxsize=None)
+def _face_table(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Faces of the n-coordinate simplex, grouped by size.
+
+    Faces are ranked in bit-enumeration order (face ``bits`` holds
+    coordinate j when bit j is set). Each entry is ``(ranks, members)``:
+    the ranks of all faces of one size and their coordinates, ``(F, size)``.
+    """
+    faces = [[j for j in range(n) if (bits >> j) & 1] for bits in range(1, 2**n)]
+    table = []
+    for size in range(1, n + 1):
+        ranks = np.array([r for r, face in enumerate(faces) if len(face) == size])
+        members = np.array([faces[r] for r in ranks])
+        ranks.flags.writeable = False
+        members.flags.writeable = False
+        table.append((ranks, members))
+    return tuple(table)
 
 
 def solve_simplex_qp_batch(
@@ -167,9 +180,11 @@ def solve_simplex_qp_batch(
 
     Enumerates every face of the simplex, solves the equality-constrained
     restriction in closed form, and keeps the best feasible candidate.
-    Intended for the per-iteration weight updates where each instance has
-    only a handful of coordinates. Returns the minimizers and a boolean
-    mask of instances solved successfully.
+    All faces of one size are solved for the whole batch in one stacked
+    ``np.linalg.solve``. Ties go to the face enumerated first, and a NaN
+    objective never wins. Intended for the per-iteration weight updates
+    where each instance has only a handful of coordinates. Returns the
+    minimizers and a boolean mask of instances solved successfully.
 
     Parameters
     ----------
@@ -181,29 +196,26 @@ def solve_simplex_qp_batch(
     batch, n = lin.shape
     quad = quad + ridge * np.eye(n)
 
-    best_obj = np.full(batch, np.inf)
-    best_q = np.zeros((batch, n))
-    ones_template = np.ones(n)
-    for subset in _enumerate_subsets(n):
-        s = subset.size
-        if s == 1:
-            j = int(subset[0])
-            obj = quad[:, j, j] - 2.0 * lin[:, j]
-            better = obj < best_obj
-            if better.any():
-                best_q[better] = 0.0
-                best_q[better, j] = 1.0
-                best_obj[better] = obj[better]
+    # objective and point of every face for every instance, faces in rank order
+    objective = np.empty((batch, 2**n - 1))
+    points = np.zeros((batch, 2**n - 1, n))
+    for ranks, members in _face_table(n):
+        size = members.shape[1]
+        if size == 1:
+            j = members[:, 0]
+            objective[:, ranks] = quad[:, j, j] - 2.0 * lin[:, j]
+            points[:, ranks, j] = 1.0
             continue
-        sub_quad = quad[np.ix_(np.arange(batch), subset, subset)]
-        rhs = np.empty((batch, s, 2))
-        rhs[:, :, 0] = lin[:, subset]
-        rhs[:, :, 1] = ones_template[subset]
+        sub_quad = quad[:, members[:, :, None], members[:, None, :]].reshape(-1, size, size)
+        sub_lin = lin[:, members].reshape(-1, size)
+        rhs = np.empty(sub_lin.shape + (2,))
+        rhs[:, :, 0] = sub_lin
+        rhs[:, :, 1] = 1.0
         try:
             sol = np.linalg.solve(sub_quad, rhs)
         except np.linalg.LinAlgError:
-            sol = np.full((batch, s, 2), np.nan)
-            for b in range(batch):
+            sol = np.full(rhs.shape, np.nan)
+            for b in range(len(rhs)):
                 try:
                     sol[b] = np.linalg.solve(sub_quad[b], rhs[b])
                 except np.linalg.LinAlgError:
@@ -219,14 +231,19 @@ def solve_simplex_qp_batch(
             & safe
         )
         obj = np.einsum("bi,bij,bj->b", candidate, sub_quad, candidate) - 2.0 * np.einsum(
-            "bi,bi->b", lin[:, subset], candidate
+            "bi,bi->b", sub_lin, candidate
         )
-        better = feasible & (obj < best_obj)
-        if better.any():
-            best_q[better] = 0.0
-            rows = np.flatnonzero(better)
-            best_q[np.ix_(rows, subset)] = candidate[better]
-            best_obj[better] = obj[better]
+        objective[:, ranks] = np.where(feasible, obj, np.inf).reshape(batch, -1)
+        points[:, ranks[:, None], members] = candidate.reshape(batch, -1, size)
+
+    # argmin keeps the first minimum, as a running strict '<' would, but
+    # unlike '<' it would pick a NaN
+    objective[np.isnan(objective)] = np.inf
+    rows = np.arange(batch)
+    choice = np.argmin(objective, axis=1)
+    best_obj = objective[rows, choice]
+    best_q = points[rows, choice]
+    best_q[best_obj == np.inf] = 0.0  # no feasible face with a usable objective
 
     ok = np.isfinite(best_obj)
     best_q = np.clip(best_q, 0.0, None)

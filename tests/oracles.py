@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from maicnet.strategies import StrategyState
 from maicnet.theory import SIZE_CAP
-from maicnet.weight_opt import project_simplex
+from maicnet.topology import ClusteredTopology
+from maicnet.weight_opt import EPS_RIDGE, project_simplex
 
 
 def simplex_grid(n: int, resolution: float = 1e-3) -> np.ndarray:
@@ -250,3 +252,141 @@ def loop_mdlms_pull(w, regularizer):
             if regularizer[l, k] != 0.0:
                 pull[k] += regularizer[l, k] * (w[l] - w[k])
     return pull
+
+
+def enumerate_subsets(n: int) -> list[np.ndarray]:
+    subsets = []
+    for bits in range(1, 2**n):
+        subsets.append(np.flatnonzero([(bits >> j) & 1 for j in range(n)]))
+    return subsets
+
+
+def solve_simplex_qp_batch_loop(
+    quad: np.ndarray, lin: np.ndarray, ridge: float = EPS_RIDGE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exactly minimize a batch of small simplex QPs, one face at a time.
+
+    Faces are visited in bit-enumeration order and a candidate replaces
+    the incumbent only when its objective is strictly lower.
+
+    Enumerates every face of the simplex, solves the equality-constrained
+    restriction in closed form, and keeps the best feasible candidate.
+    Intended for the per-iteration weight updates where each instance has
+    only a handful of coordinates. Returns the minimizers and a boolean
+    mask of instances solved successfully.
+
+    Parameters
+    ----------
+    quad: (B, n, n) symmetric PSD batch
+    lin:  (B, n) linear terms, objective ``q' quad q - 2 lin' q``
+    """
+    quad = np.asarray(quad, dtype=float)
+    lin = np.asarray(lin, dtype=float)
+    batch, n = lin.shape
+    quad = quad + ridge * np.eye(n)
+
+    best_obj = np.full(batch, np.inf)
+    best_q = np.zeros((batch, n))
+    ones_template = np.ones(n)
+    for subset in enumerate_subsets(n):
+        s = subset.size
+        if s == 1:
+            j = int(subset[0])
+            obj = quad[:, j, j] - 2.0 * lin[:, j]
+            better = obj < best_obj
+            if better.any():
+                best_q[better] = 0.0
+                best_q[better, j] = 1.0
+                best_obj[better] = obj[better]
+            continue
+        sub_quad = quad[np.ix_(np.arange(batch), subset, subset)]
+        rhs = np.empty((batch, s, 2))
+        rhs[:, :, 0] = lin[:, subset]
+        rhs[:, :, 1] = ones_template[subset]
+        try:
+            sol = np.linalg.solve(sub_quad, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.full((batch, s, 2), np.nan)
+            for b in range(batch):
+                try:
+                    sol[b] = np.linalg.solve(sub_quad[b], rhs[b])
+                except np.linalg.LinAlgError:
+                    pass
+        a, b_dir = sol[:, :, 0], sol[:, :, 1]
+        denom = b_dir.sum(axis=1)
+        safe = np.abs(denom) > 1e-300
+        lam = np.where(safe, (1.0 - a.sum(axis=1)) / np.where(safe, denom, 1.0), np.nan)
+        candidate = a + lam[:, None] * b_dir
+        feasible = (
+            np.isfinite(candidate).all(axis=1)
+            & (candidate.min(axis=1) >= -1e-10)
+            & safe
+        )
+        obj = np.einsum("bi,bij,bj->b", candidate, sub_quad, candidate) - 2.0 * np.einsum(
+            "bi,bi->b", lin[:, subset], candidate
+        )
+        better = feasible & (obj < best_obj)
+        if better.any():
+            best_q[better] = 0.0
+            rows = np.flatnonzero(better)
+            best_q[np.ix_(rows, subset)] = candidate[better]
+            best_obj[better] = obj[better]
+
+    ok = np.isfinite(best_obj)
+    best_q = np.clip(best_q, 0.0, None)
+    sums = best_q.sum(axis=1)
+    good = ok & (sums > 0)
+    best_q[good] /= sums[good, None]
+    return best_q, ok
+
+
+def solve_learned_columns_loop(
+    state: StrategyState,
+    psi: np.ndarray,
+    topology: ClusteredTopology,
+    alpha: float,
+    qp_solver,
+) -> np.ndarray:
+    """Update increment-power estimates and solve one weight column per node,
+    one solver call per node."""
+    w_prev = state.weights
+    batch_shape = w_prev.shape[:-2]
+    n, dim = w_prev.shape[-2:]
+    flat_w = w_prev.reshape(-1, n, dim)
+    flat_psi = psi.reshape(-1, n, dim)
+    batch = flat_w.shape[0]
+
+    # Smoothed squared distance between each adapted iterate and the
+    # receiving node's previous iterate, tracked on neighborhood pairs.
+    psi_sq = np.einsum("bnm,bnm->bn", flat_psi, flat_psi)
+    w_sq = np.einsum("bnm,bnm->bn", flat_w, flat_w)
+    cross = np.einsum("blm,bkm->blk", flat_psi, flat_w)
+    sq_dist = psi_sq[:, :, None] + w_sq[:, None, :] - 2.0 * cross
+    flat_power = state.increment_power.reshape(-1, n, n)
+    mask = topology.adjacency
+    flat_power[:, mask] = alpha * flat_power[:, mask] + (1.0 - alpha) * sq_dist[:, mask]
+
+    learned = np.zeros((batch, n, n))
+    fallbacks = 0
+    for k in range(n):
+        support = list(topology.inter_plus[k])
+        size = len(support)
+        if size == 1:
+            learned[:, k, k] = 1.0
+            continue
+        candidates = flat_w[:, support, :]
+        quad = np.einsum("bim,bjm->bij", candidates, candidates)
+        idx = np.arange(size)
+        quad[:, idx, idx] += flat_power[:, support, k]
+        lin = np.einsum("bim,bm->bi", candidates, flat_w[:, k, :])
+        column, ok = qp_solver(quad, lin)
+        bad = ~ok
+        if bad.any():
+            column[bad] = 0.0
+            column[bad, support.index(k)] = 1.0
+            fallbacks += int(bad.sum())
+        learned[np.ix_(np.arange(batch), support, [k])] = column[:, :, None]
+
+    state.fallback_count += fallbacks
+    state.increment_power = flat_power.reshape(batch_shape + (n, n))
+    return learned.reshape(batch_shape + (n, n))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,15 @@ class TestTopologyInspect:
                     assert scenario.cluster_of[b] == cluster
                 if b == node:
                     assert scenario.cluster_of[a] == cluster
+
+    def test_malformed_scenario_json_fails_with_one_error_line(self, capsys, tmp_path):
+        spec = tmp_path / "bad.json"
+        spec.write_text('{"name": "x", "n_nodes": 3}')
+        code, out, err = run_cli(capsys, "topology", "inspect", "--scenario", str(spec))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "segments" in err
 
     def test_cluster_partition_is_consistent(self, capsys):
         code, out, _ = run_cli(capsys, "topology", "inspect", "--scenario", "b")
@@ -209,6 +219,39 @@ class TestSimulate:
         )
         assert code == 1
         assert "error:" in err
+
+
+    def test_all_diverged_runs_write_strict_json_and_fail(self, capsys, tmp_path):
+        scenario = replace(
+            presets.get_scenario(
+                "a", runs=4, iterations=60, strategies=("maic-adaptive", "atc")
+            ),
+            step_size=5.0,
+        )
+        spec = tmp_path / "divergent.json"
+        scenario.to_json(spec)
+        out_dir = tmp_path / "sim"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(
+                capsys, "simulate", "--scenario", str(spec), "--out", str(out_dir)
+            )
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: every run diverged for maic-adaptive, atc"
+        ]
+        assert "all 4 runs diverged" in out
+
+        def reject(token):
+            raise ValueError(f"non-finite token {token}")
+
+        with open(out_dir / "summary.json", encoding="utf-8") as handle:
+            summary = json.load(handle, parse_constant=reject)
+        for entry in summary["strategies"].values():
+            assert entry["all_runs_diverged"] is True
+            assert entry["n_valid_runs"] == 0
+            assert entry["steady_state_db"] is None
+            assert entry["cluster_steady"] is None
+        assert summary["strategies"]["maic-adaptive"]["gain_over_atc_db"] is None
 
 
 class TestParser:

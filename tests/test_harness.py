@@ -62,6 +62,16 @@ class TestScenarioValidation:
         scenario = small("a", strategies=KNOWN_STRATEGIES)
         assert scenario.strategies == KNOWN_STRATEGIES
 
+    def test_missing_fields_are_named(self):
+        with pytest.raises(ValueError, match="missing required field.*segments"):
+            Scenario.from_dict({"name": "x", "n_nodes": 3})
+        data = small("a").to_dict()
+        del data["segments"][0]["gamma"]
+        with pytest.raises(ValueError, match="segment 0 is missing required field.*gamma"):
+            Scenario.from_dict(data)
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            Scenario.from_dict(["a"])
+
 
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):

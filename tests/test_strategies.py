@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maicnet.strategies import (
+    _solve_learned_columns,
     adapt,
     atc_step,
     init_state,
@@ -20,7 +21,8 @@ from maicnet.topology import (
     averaging_rule_weights,
     metropolis_weights,
 )
-from oracles import loop_maic_step, loop_mdlms_pull
+from maicnet.weight_opt import solve_simplex_qp_batch
+from oracles import loop_maic_step, loop_mdlms_pull, solve_learned_columns_loop
 
 
 def _draw_inputs(rng, n, dim, batch=()):
@@ -253,3 +255,66 @@ class TestAdaptiveStep:
             u, d = _draw_inputs(rng, 5, 2, (2,))
             maic_adaptive_step(state, u, d, combine, top, 0.7, mu)
         assert state.fallback_count == 0
+
+
+class TestGroupedColumns:
+    """One solver call per support size against the one-call-per-node loop."""
+
+    @staticmethod
+    def _topology():
+        # inter_plus sizes: node 0 -> 1; nodes 3, 5, 7 -> 2; nodes 2, 4, 6 -> 3; node 1 -> 4
+        return ClusteredTopology.from_edges(
+            8,
+            ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 4), (1, 6), (2, 7)),
+            (0, 0, 1, 1, 2, 2, 3, 3),
+        )
+
+    @staticmethod
+    def _failing_solver(quad, lin):
+        """Fails the instances picked by their own data, so the grouped and
+        the per-node call see the same failures; failed weights are NaN."""
+        weights, ok = solve_simplex_qp_batch(quad, lin)
+        failed = lin[:, 0] > lin[:, -1]
+        weights[failed] = np.nan
+        return weights, ok & ~failed
+
+    def _compare(self, batch, qp_solver, steps=4):
+        top = self._topology()
+        assert [s.shape[1] for _, s in top.inter_plus_groups] == [1, 2, 3, 4]
+        rng = np.random.default_rng(31)
+        grouped = init_state(8, 3, batch, adaptive=True)
+        looped = init_state(8, 3, batch, adaptive=True)
+        for _ in range(steps):
+            weights = rng.standard_normal(batch + (8, 3))
+            psi = rng.standard_normal(batch + (8, 3))
+            grouped.weights = weights
+            looped.weights = weights.copy()
+            learned = _solve_learned_columns(grouped, psi, top, 0.7, qp_solver)
+            expected = solve_learned_columns_loop(looped, psi, top, 0.7, qp_solver)
+            assert np.array_equal(learned, expected)
+            assert np.array_equal(grouped.increment_power, looped.increment_power)
+            assert grouped.fallback_count == looped.fallback_count
+        return top, weights, learned, grouped
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_matches_the_per_node_loop(self, batch):
+        _, _, _, state = self._compare(batch, solve_simplex_qp_batch)
+        assert state.fallback_count == 0
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_failed_instances_keep_the_own_node(self, batch):
+        top, weights, learned, state = self._compare(batch, self._failing_solver, steps=1)
+        flat_w = weights.reshape(-1, 8, 3)
+        learned = learned.reshape(-1, 8, 8)
+        failures = 0
+        for k, support in enumerate(top.inter_plus):
+            if len(support) == 1:
+                continue
+            lin = np.einsum("bim,bm->bi", flat_w[:, list(support)], flat_w[:, k])
+            failed = lin[:, 0] > lin[:, -1]
+            own = np.zeros(8)
+            own[k] = 1.0
+            assert all(np.array_equal(column, own) for column in learned[failed, :, k])
+            assert not np.isnan(learned[:, :, k]).any()
+            failures += int(failed.sum())
+        assert state.fallback_count == failures > 0

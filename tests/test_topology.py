@@ -72,6 +72,13 @@ class TestConstruction:
         assert np.array_equal(intra & inter_plus, np.eye(4, dtype=bool))
         assert np.array_equal(intra | inter_plus, top.adjacency)
 
+    def test_inter_plus_groups_sort_nodes_by_support_size(self, singleton_chain):
+        groups = [
+            (nodes.tolist(), supports.tolist())
+            for nodes, supports in singleton_chain.inter_plus_groups
+        ]
+        assert groups == [([0, 2], [[0, 1], [1, 2]]), ([1], [[0, 1, 2]])]
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             ClusteredTopology.from_edges(3, ((0, 0),), (0, 0, 0))

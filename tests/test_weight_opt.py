@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from maicnet.weight_opt import (
+    EPS_RIDGE,
     CentralizedQP,
     SimplexQP,
     block_trace,
@@ -27,7 +28,12 @@ from maicnet.weight_opt import (
     solve_simplex_qp,
     solve_simplex_qp_batch,
 )
-from oracles import grid_min_quadratic, grid_nearest_simplex_point, project_columns_loop
+from oracles import (
+    grid_min_quadratic,
+    grid_nearest_simplex_point,
+    project_columns_loop,
+    solve_simplex_qp_batch_loop,
+)
 
 finite_vectors = hnp.arrays(
     np.float64,
@@ -54,6 +60,37 @@ def masked_rows(draw):
     keep = draw(st.lists(st.integers(0, n_cols - 1), min_size=n_rows, max_size=n_rows))
     mask[np.arange(n_rows), keep] = True
     return values, mask
+
+
+# Small exact values make rank-deficient quadratics and exact ties common.
+qp_entries = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@st.composite
+def qp_batches(draw):
+    """Small simplex QP batches with tied faces, singular and non-finite
+    instances; the ridge is either the default or zero."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    batch = draw(st.integers(min_value=1, max_value=4))
+    roots = draw(hnp.arrays(np.float64, (batch, n, n), elements=qp_entries))
+    quad = roots @ roots.transpose(0, 2, 1)
+    lin = draw(hnp.arrays(np.float64, (batch, n), elements=qp_entries))
+    if n >= 2 and draw(st.booleans()):  # coordinate 1 duplicates coordinate 0
+        quad[:, 1, :] = quad[:, 0, :]
+        quad[:, :, 1] = quad[:, :, 0]
+        lin[:, 1] = lin[:, 0]
+    index = st.integers(min_value=0, max_value=n - 1)
+    nonfinite = st.sampled_from([np.inf, -np.inf, np.nan])
+    instance = st.integers(min_value=0, max_value=batch - 1)
+    for b, i, j, value in draw(st.lists(st.tuples(instance, index, index, nonfinite), max_size=2)):
+        quad[b, i, j] = quad[b, j, i] = value
+    for b, i, value in draw(st.lists(st.tuples(instance, index, nonfinite), max_size=2)):
+        lin[b, i] = value
+    ridge = draw(st.sampled_from([EPS_RIDGE, 0.0]))
+    return quad, lin, ridge
 
 
 def random_qp(rng: np.random.Generator, n: int) -> SimplexQP:
@@ -201,6 +238,54 @@ class TestSolver:
             batch_obj = qp.objective(best[b])
             assert batch_obj <= reference.objective + 1e-8
             assert abs(batch_obj - reference.objective) <= 1e-7
+
+    @given(qp_batches())
+    @example(  # duplicated coordinates: every face containing both ties
+        (np.array([[[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [1.0, 1.0, 3.0]]]),
+         np.array([[1.0, 1.0, 0.5]]), EPS_RIDGE)
+    )
+    @example(  # zero quadratic without ridge: every pair face is singular
+        (np.zeros((2, 3, 3)), np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]), 0.0)
+    )
+    @example(  # what a diverged run feeds the solver
+        (np.array([[[np.inf, np.nan], [np.nan, 1.0]], [[np.inf, np.inf], [np.inf, np.inf]]]),
+         np.array([[np.nan, 1.0], [-np.inf, np.inf]]), EPS_RIDGE)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_the_face_by_face_oracle(self, case):
+        quad, lin, ridge = case
+        with np.errstate(all="ignore"):
+            weights, ok = solve_simplex_qp_batch(quad, lin, ridge)
+            expected_weights, expected_ok = solve_simplex_qp_batch_loop(quad, lin, ridge)
+        assert np.array_equal(weights, expected_weights)
+        assert np.array_equal(ok, expected_ok)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_large_batches_match_the_face_by_face_oracle(self, n):
+        # batches the size of a simulation chunk times a support-size group
+        rng = np.random.default_rng(200 + n)
+        roots = rng.standard_normal((2000, n, n))
+        quad = roots @ roots.transpose(0, 2, 1)
+        lin = rng.standard_normal((2000, n))
+        weights, ok = solve_simplex_qp_batch(quad, lin)
+        expected_weights, expected_ok = solve_simplex_qp_batch_loop(quad, lin)
+        assert np.array_equal(weights, expected_weights)
+        assert np.array_equal(ok, expected_ok)
+
+    def test_singular_faces_are_solved_one_instance_at_a_time(self):
+        # instance 1's pair face is exactly singular, so the stacked solve
+        # raises and every instance is solved on its own
+        quad = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
+        lin = np.array([[1.0, 0.8], [0.5, 0.5]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(quad, np.ones((2, 2, 2)))
+        weights, ok = solve_simplex_qp_batch(quad, lin, ridge=0.0)
+        expected_weights, expected_ok = solve_simplex_qp_batch_loop(quad, lin, ridge=0.0)
+        assert np.array_equal(weights, expected_weights)
+        assert np.array_equal(ok, expected_ok)
+        assert ok.all()
+        assert weights[1].tolist() == [1.0, 0.0]
+        assert weights[0].min() > 0.0
 
     def test_batch_output_is_feasible(self):
         rng = np.random.default_rng(42)
