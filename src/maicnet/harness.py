@@ -234,6 +234,8 @@ class CompiledScenario:
     models: tuple[SignalModel, ...]
     plans: tuple[StrategyPlan, ...]
     segment_of: np.ndarray  # (T,) segment index per iteration
+    membership: np.ndarray  # (N, P) one-hot cluster of each node
+    cluster_sizes: np.ndarray  # (P,) nodes per cluster
 
 
 def _certificate_dict(solution: weight_opt.QPSolution) -> dict:
@@ -353,6 +355,8 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
             )
 
     segment_of = np.searchsorted(np.asarray(scenario.boundaries), np.arange(scenario.iterations), side="right")
+    membership = np.zeros((scenario.n_nodes, topology.n_clusters))
+    membership[np.arange(scenario.n_nodes), topology.cluster_of] = 1.0
     return CompiledScenario(
         scenario=scenario,
         topology=topology,
@@ -360,6 +364,8 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         models=models,
         plans=tuple(plans),
         segment_of=segment_of,
+        membership=membership,
+        cluster_sizes=membership.sum(axis=0),
     )
 
 
@@ -395,9 +401,9 @@ def _draw_chunk(
     starts = [seg.start for seg in scenario.segments] + [horizon]
     for s in range(n_seg):
         t0, t1 = starts[s], starts[s + 1]
-        responses[:, t0:t1] = (
-            np.einsum("ctnm,cnm->ctn", regressors[:, t0:t1], w_true[:, s]) + noises[:, t0:t1]
-        )
+        # in place: two fewer chunk-sized temporaries at the chunk's memory peak
+        np.einsum("ctnm,cnm->ctn", regressors[:, t0:t1], w_true[:, s], out=responses[:, t0:t1])
+        responses[:, t0:t1] += noises[:, t0:t1]
     return w_true, regressors, noises, responses, digests
 
 
@@ -407,15 +413,11 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
     combine = compiled.combine
     model0 = compiled.models[0]
     n, dim, horizon = model0.n_nodes, model0.dim, scenario.iterations
-    n_clusters = model0.n_clusters
     count = hi - lo
     step_sizes = model0.step_sizes
     segment_of = compiled.segment_of
     window_start = horizon - max(1, int(round(STEADY_WINDOW_FRACTION * horizon)))
     window_len = horizon - window_start
-    membership = np.zeros((n, n_clusters))
-    membership[np.arange(n), topology.cluster_of] = 1.0
-    cluster_sizes = membership.sum(axis=0)
 
     w_true, regressors, _, responses, digests = _draw_chunk(compiled, lo, hi)
 
@@ -427,7 +429,7 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
         err_sum = np.zeros((horizon, n))
         counts = np.zeros(horizon, dtype=np.int64)
         window_net = np.zeros(count)
-        window_cluster = np.zeros((count, n_clusters))
+        window_cluster = np.zeros((count, compiled.cluster_sizes.size))
 
         for t in range(horizon):
             seg = int(segment_of[t])
@@ -457,12 +459,12 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
             counts[t] = int(alive.sum())
             if t >= window_start:
                 window_net += net * alive
-                window_cluster += masked @ membership
+                window_cluster += masked @ compiled.membership
 
         aborted = aborted_at >= 0
         run_steady = window_net / (window_len * n)
         run_steady[aborted] = np.nan
-        run_cluster = window_cluster / (window_len * cluster_sizes)
+        run_cluster = window_cluster / (window_len * compiled.cluster_sizes)
         run_cluster[aborted] = np.nan
 
         record = {
@@ -699,11 +701,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
         run_steady = np.concatenate(run_steady)
         run_cluster = np.concatenate(run_cluster)
 
-        membership = np.zeros((n, compiled.models[0].n_clusters))
-        membership[np.arange(n), compiled.topology.cluster_of] = 1.0
-        sizes = membership.sum(axis=0)
-        network = err_sum.total.sum(axis=1) / (counts * n)
-        per_cluster = (err_sum.total @ membership) / (counts[:, None] * sizes)
+        alive = np.where(counts > 0, counts, np.nan)  # runs alive; none: NaN, not 0/0
+        network = err_sum.total.sum(axis=1) / (alive * n)
+        per_cluster = (err_sum.total @ compiled.membership) / (alive[:, None] * compiled.cluster_sizes)
         curves[plan.name] = MsdCurve(
             network=network,
             per_cluster=per_cluster,

@@ -85,6 +85,13 @@ def adapt(
     return weights + mu[..., :, None] * regressors * error[..., :, None]
 
 
+def _mix(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``sum_l x[..., l, m] * matrix[l, k]`` as one GEMM on the (batch*M, N) view."""
+    swapped = np.swapaxes(x, -1, -2)
+    mixed = swapped.reshape(-1, x.shape[-2]) @ matrix
+    return np.swapaxes(mixed.reshape(swapped.shape), -1, -2)
+
+
 def inter_cluster_combine(adapted: np.ndarray, cooperation: np.ndarray) -> np.ndarray:
     """Convex combination of adapted iterates over the cooperation support.
 
@@ -93,13 +100,13 @@ def inter_cluster_combine(adapted: np.ndarray, cooperation: np.ndarray) -> np.nd
     result.
     """
     if cooperation.ndim == 2:
-        return np.einsum("...lm,lk->...km", adapted, cooperation)
-    return np.einsum("...lm,...lk->...km", adapted, cooperation)
+        return _mix(adapted, cooperation)
+    return np.swapaxes(cooperation, -1, -2) @ adapted
 
 
 def intra_cluster_combine(cooperated: np.ndarray, combine: np.ndarray) -> np.ndarray:
     """Intra-cluster merge; entry (l, k) weighs node l's iterate at node k."""
-    return np.einsum("...lm,lk->...km", cooperated, combine)
+    return _mix(cooperated, combine)
 
 
 def atc_step(
@@ -132,7 +139,7 @@ def mdlms_step(
     With zero strength this reduces bitwise to the no-cooperation rule.
     """
     psi = adapt(state.weights, regressors, responses, step_sizes)
-    pull = np.einsum("...lm,lk->...km", state.weights, regularizer)
+    pull = _mix(state.weights, regularizer)
     pull -= regularizer.sum(axis=0)[:, None] * state.weights
     mu = np.atleast_1d(np.asarray(step_sizes, dtype=float))
     psi = psi + mu[..., :, None] * strength * pull

@@ -207,10 +207,8 @@ def solve_simplex_qp_batch(
             points[:, ranks, j] = 1.0
             continue
         sub_quad = quad[:, members[:, :, None], members[:, None, :]].reshape(-1, size, size)
-        sub_lin = lin[:, members].reshape(-1, size)
-        rhs = np.empty(sub_lin.shape + (2,))
-        rhs[:, :, 0] = sub_lin
-        rhs[:, :, 1] = 1.0
+        rhs = np.ones((len(sub_quad), size, 2))
+        rhs[:, :, 0] = lin[:, members].reshape(-1, size)
         try:
             sol = np.linalg.solve(sub_quad, rhs)
         except np.linalg.LinAlgError:
@@ -230,10 +228,15 @@ def solve_simplex_qp_batch(
             & (candidate.min(axis=1) >= -1e-10)
             & safe
         )
-        obj = np.einsum("bi,bij,bj->b", candidate, sub_quad, candidate) - 2.0 * np.einsum(
-            "bi,bi->b", sub_lin, candidate
-        )
-        objective[:, ranks] = np.where(feasible, obj, np.inf).reshape(batch, -1)
+        # objectives face by face, with the operand layouts of the face-by-face solver:
+        # einsum's rounding depends on them, and near-tied faces are ranked by it
+        faces_q = np.ascontiguousarray(candidate.reshape(batch, -1, size).swapaxes(0, 1))
+        faces_quad = np.ascontiguousarray(sub_quad.reshape(batch, -1, size, size).swapaxes(0, 1))
+        obj = [
+            np.einsum("bi,bij,bj->b", q, quad_f, q) - 2.0 * np.einsum("bi,bi->b", lin[:, face], q)
+            for q, quad_f, face in zip(faces_q, faces_quad, members)
+        ]
+        objective[:, ranks] = np.where(feasible.reshape(batch, -1), np.stack(obj, axis=1), np.inf)
         points[:, ranks[:, None], members] = candidate.reshape(batch, -1, size)
 
     # argmin keeps the first minimum, as a running strict '<' would, but

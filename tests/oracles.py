@@ -254,6 +254,25 @@ def loop_mdlms_pull(w, regularizer):
     return pull
 
 
+def einsum_inter_cluster_combine(adapted, cooperation):
+    """Cooperation step as an einsum over the node axis, fixed or per run."""
+    if cooperation.ndim == 2:
+        return np.einsum("...lm,lk->...km", adapted, cooperation)
+    return np.einsum("...lm,...lk->...km", adapted, cooperation)
+
+
+def einsum_intra_cluster_combine(cooperated, combine):
+    """Intra-cluster merge as an einsum over the node axis."""
+    return np.einsum("...lm,lk->...km", cooperated, combine)
+
+
+def einsum_mdlms_pull(w, regularizer):
+    """Regularizer pull ``sum_l rho[l,k] (w_l - w_k)`` as an einsum."""
+    pull = np.einsum("...lm,lk->...km", w, regularizer)
+    pull -= regularizer.sum(axis=0)[:, None] * w
+    return pull
+
+
 def enumerate_subsets(n: int) -> list[np.ndarray]:
     subsets = []
     for bits in range(1, 2**n):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -326,6 +327,19 @@ class TestDivergenceHandling:
         assert np.isnan(curve.run_steady).all()
         assert curve.n_valid_runs == 0
         assert curve.counts[-1] == 0
+
+    def test_all_diverged_strategies_raise_no_warning(self):
+        scenario = replace(small("a", runs=20, iterations=60), step_size=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_scenario(scenario)
+        for curve in result.curves.values():
+            assert curve.n_valid_runs == 0
+            dead = curve.counts == 0
+            assert dead[-1]
+            assert np.isnan(curve.network[dead]).all()
+            assert np.isnan(curve.per_cluster[dead]).all()
+            assert np.isfinite(curve.network[~dead]).all()
 
     def test_stable_scenario_has_no_aborts(self):
         result = run_scenario(small("b", runs=6, iterations=60, strategies=("atc",)))

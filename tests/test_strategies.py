@@ -22,7 +22,14 @@ from maicnet.topology import (
     metropolis_weights,
 )
 from maicnet.weight_opt import solve_simplex_qp_batch
-from oracles import loop_maic_step, loop_mdlms_pull, solve_learned_columns_loop
+from oracles import (
+    einsum_inter_cluster_combine,
+    einsum_intra_cluster_combine,
+    einsum_mdlms_pull,
+    loop_maic_step,
+    loop_mdlms_pull,
+    solve_learned_columns_loop,
+)
 
 
 def _draw_inputs(rng, n, dim, batch=()):
@@ -88,6 +95,87 @@ class TestCombines:
         combine = rng.random((5, 5))
         out = intra_cluster_combine(phi, combine)
         assert np.allclose(out, combine.T @ phi, atol=1e-14)
+
+
+def _assert_norm_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+class TestNodeMixing:
+    """The GEMM route over the node axis against the einsum contractions."""
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 10, 24])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_einsum_contractions(self, dim, n, batch):
+        rng = np.random.default_rng(100 * dim + n + len(batch))
+        x = rng.standard_normal(batch + (n, dim))
+        matrix = rng.random((n, n))
+        per_run = rng.random(batch + (n, n))
+        _assert_norm_close(
+            inter_cluster_combine(x, matrix), einsum_inter_cluster_combine(x, matrix)
+        )
+        _assert_norm_close(
+            inter_cluster_combine(x, per_run), einsum_inter_cluster_combine(x, per_run)
+        )
+        _assert_norm_close(
+            intra_cluster_combine(x, matrix), einsum_intra_cluster_combine(x, matrix)
+        )
+
+        regularizer = rng.random((n, n))
+        mu = rng.uniform(0.01, 0.1, size=n)
+        u, d = _draw_inputs(rng, n, dim, batch)
+        state = init_state(n, dim, batch)
+        state.weights = x.copy()
+        mdlms_step(state, u, d, matrix, regularizer, 1.5, mu)
+        psi = adapt(x, u, d, mu) + mu[:, None] * 1.5 * einsum_mdlms_pull(x, regularizer)
+        _assert_norm_close(state.weights, einsum_intra_cluster_combine(psi, matrix))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_identity_cooperation_is_atc_bitwise(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        n = 24
+        combine = rng.random((n, n))
+        combine /= combine.sum(axis=0)
+        mu = np.full(n, 0.05)
+        state_a = init_state(n, dim, (50,))
+        state_b = init_state(n, dim, (50,))
+        for _ in range(10):
+            u, d = _draw_inputs(rng, n, dim, (50,))
+            atc_step(state_a, u, d, combine, mu)
+            maic_step(state_b, u, d, combine, np.eye(n), mu)
+            assert np.array_equal(state_a.weights, state_b.weights)
+
+    def test_non_finite_values_stay_in_their_run(self):
+        rng = np.random.default_rng(12)
+        batch, n, dim = 5, 10, 2
+        clean = rng.standard_normal((batch, n, dim))
+        broken = clean.copy()
+        broken[2, 3, 0] = np.inf
+        broken[2, 7, 1] = np.nan
+        matrix = rng.random((n, n))
+        per_run = rng.random((batch, n, n))
+        u, d = _draw_inputs(rng, n, dim, (batch,))
+        mu = np.full(n, 0.1)
+
+        def mdlms(x):
+            state = init_state(n, dim, (batch,))
+            state.weights = x.copy()
+            return mdlms_step(state, u, d, matrix, matrix, 1.5, mu)
+
+        others = np.arange(batch) != 2
+        for mix in (
+            lambda x: inter_cluster_combine(x, matrix),
+            lambda x: inter_cluster_combine(x, per_run),
+            lambda x: intra_cluster_combine(x, matrix),
+            mdlms,
+        ):
+            with np.errstate(invalid="ignore"):  # BLAS may form inf * 0 in the broken run
+                got = mix(broken)
+            assert np.array_equal(got[others], mix(clean)[others])
+            assert np.isfinite(got[others]).all()
+            assert not np.isfinite(got[2]).all()
 
 
 class TestStepEquivalences:

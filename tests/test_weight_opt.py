@@ -251,6 +251,13 @@ class TestSolver:
         (np.array([[[np.inf, np.nan], [np.nan, 1.0]], [[np.inf, np.inf], [np.inf, np.inf]]]),
          np.array([[np.nan, 1.0], [-np.inf, np.inf]]), EPS_RIDGE)
     )
+    @example(  # faces {1} and {0, 1} one ulp apart; a strided quadratic broke the tie
+        (np.array([[[6.0625, 5.0625], [5.0625, 5.0625]], np.zeros((2, 2))]),
+         np.ones((2, 2)), EPS_RIDGE)
+    )
+    @example(  # faces {0, 1, 2} and {0, 2} near-tied; a C-ordered linear term broke it
+        (np.pad(np.ones((1, 2, 2)), ((0, 1), (0, 2), (0, 2))), np.full((2, 4), 249.0), EPS_RIDGE)
+    )
     @settings(max_examples=300, deadline=None)
     def test_batch_matches_the_face_by_face_oracle(self, case):
         quad, lin, ridge = case
