@@ -22,7 +22,6 @@ from .signal_model import SignalModel, sample_parameters
 from .theory import TheoryReport, analyze, steady_state_msd
 from .topology import (
     ClusteredTopology,
-    WeightMatrices,
     averaging_rule_weights,
     cooperation_from_regularizer,
     metropolis_weights,
@@ -41,7 +40,6 @@ __all__ = [
     "SegmentSpec",
     "SignalModel",
     "TheoryReport",
-    "WeightMatrices",
     "analyze",
     "averaging_rule_weights",
     "compile_scenario",

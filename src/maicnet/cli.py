@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,12 +22,10 @@ from .topology import averaging_rule_weights, validate_column_stochastic
 def _load_scenario(spec: str, **overrides) -> harness.Scenario:
     if spec.lower() in presets.PRESET_NAMES:
         return presets.get_scenario(spec, **overrides)
-    scenario = harness.Scenario.from_json(spec)
-    if overrides:
-        from dataclasses import replace
-
-        scenario = replace(scenario, **overrides)
-    return scenario
+    for knob, preset in presets.PRESET_KNOBS.items():
+        if knob in overrides:
+            raise ValueError(f"{knob} only applies to preset {preset}")
+    return replace(harness.Scenario.from_json(spec), **overrides)
 
 
 def _scenario_overrides(args) -> dict:
@@ -48,9 +47,7 @@ def _scenario_overrides(args) -> dict:
 
 def _cmd_topology_inspect(args) -> int:
     scenario = _load_scenario(args.scenario)
-    compiled = harness.compile_scenario(
-        harness.Scenario.from_dict({**scenario.to_dict(), "strategies": ["atc"]})
-    )
+    compiled = harness.compile_scenario(replace(scenario, strategies=()))
     top = compiled.topology
     combine = compiled.combine
     rho = averaging_rule_weights(top)
@@ -86,18 +83,14 @@ def _cmd_topology_inspect(args) -> int:
 def _cmd_theory(args) -> int:
     overrides = _scenario_overrides(args)
     scenario = _load_scenario(args.scenario, **overrides)
-    if args.strategy not in ("atc", "maic-averaging", "maic-p1", "maic-p2"):
+    if args.strategy not in harness.FIXED_WEIGHT_STRATEGIES:
         print(
             f"no closed-form report for strategy {args.strategy!r}; "
             "pick one with fixed cooperation weights",
             file=sys.stderr,
         )
         return 2
-    scenario = harness.Scenario.from_dict(
-        {**scenario.to_dict(), "strategies": [args.strategy]}
-    )
-    compiled = harness.compile_scenario(scenario)
-    plan = compiled.plans[0]
+    plan = harness.compile_scenario(replace(scenario, strategies=(args.strategy,))).plans[0]
     payload = {
         "scenario": scenario.name,
         "strategy": args.strategy,
@@ -112,48 +105,30 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-def _write_weight_csv(path: str, stack: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        n = stack.shape[-1]
-        handle.write("segment,row," + ",".join(f"col{j}" for j in range(n)) + "\n")
-        for s in range(stack.shape[0]):
-            for i in range(n):
-                handle.write(f"{s},{i}," + ",".join(f"{x:.17g}" for x in stack[s, i]) + "\n")
-
-
 def _cmd_optimize_weights(args) -> int:
     scenario = _load_scenario(args.scenario, **_scenario_overrides(args))
     os.makedirs(args.out, exist_ok=True)
     method = args.method
+    name = f"maic-{method.split('-')[0]}"  # p1 -> maic-p1, adaptive-preview -> maic-adaptive
+    path = os.path.join(args.out, f"weights_{name}.csv")
     if method in ("p1", "p2"):
-        name = f"maic-{method}"
-        compiled = harness.compile_scenario(
-            harness.Scenario.from_dict({**scenario.to_dict(), "strategies": [name]})
-        )
-        plan = compiled.plans[0]
-        _write_weight_csv(os.path.join(args.out, f"weights_{name}.csv"), plan.cooperation)
+        plan = harness.compile_scenario(replace(scenario, strategies=(name,))).plans[0]
+        harness.write_weight_csv(path, plan.weights)
         certificate = {
             "method": method,
             "scenario": scenario.name,
             "segments": list(plan.certificates),
         }
     else:  # adaptive-preview: short simulation, report the final learned weights
-        preview = harness.Scenario.from_dict(
-            {
-                **scenario.to_dict(),
-                "strategies": ["maic-adaptive"],
-                "runs": args.preview_runs,
-            }
-        )
+        preview = replace(scenario, strategies=(name,), runs=args.preview_runs)
         result = harness.run_scenario(preview)
-        stack = result.weights["maic-adaptive"]
-        _write_weight_csv(os.path.join(args.out, "weights_maic-adaptive.csv"), stack)
+        harness.write_weight_csv(path, result.weights[name])
         certificate = {
             "method": "adaptive-preview",
             "scenario": scenario.name,
             "preview_runs": args.preview_runs,
             "iterations": preview.iterations,
-            "qp_fallbacks": result.diagnostics["qp_fallbacks"]["maic-adaptive"],
+            "qp_fallbacks": result.diagnostics["qp_fallbacks"][name],
         }
     cert_path = os.path.join(args.out, "certificate.json")
     with open(cert_path, "w", encoding="utf-8") as handle:
@@ -167,7 +142,7 @@ def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario, **_scenario_overrides(args))
     result = harness.run_scenario(scenario, workers=args.workers)
     result.write_outputs(args.out)
-    atc = result.curves.get("atc")
+    baseline = harness.BASELINE
     diverged = [name for name, curve in result.curves.items() if curve.n_valid_runs == 0]
     print(f"scenario {scenario.name}: {scenario.runs} runs x {scenario.iterations} iterations")
     for name, curve in result.curves.items():
@@ -176,8 +151,9 @@ def _cmd_simulate(args) -> int:
             print(f"  {name:16s} all {aborted} runs diverged")
             continue
         line = f"  {name:16s} steady-state {curve.steady_state_db():8.3f} dB"
-        if atc is not None and name != "atc" and "atc" not in diverged:
-            line += f"  gain over atc {harness.msd_gain(curve, atc):6.3f} dB"
+        if baseline in result.curves and name != baseline and baseline not in diverged:
+            gain = harness.msd_gain(curve, result.curves[baseline])
+            line += f"  gain over {baseline} {gain:6.3f} dB"
         if aborted:
             line += f"  ({aborted} aborted runs)"
         print(line)

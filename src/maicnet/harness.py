@@ -19,12 +19,18 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from . import strategies, theory, weight_opt
-from .signal_model import SignalModel, noise_profile_uniform_db, sample_parameters
+from .signal_model import (
+    SignalModel,
+    draw_noises,
+    draw_regressors,
+    noise_profile_uniform_db,
+    sample_parameters,
+)
 from .topology import (
     ClusteredTopology,
     averaging_rule_weights,
@@ -42,21 +48,13 @@ __all__ = [
     "run_scenario",
     "msd_gain",
     "msd_gain_se",
-    "paired_steady_difference",
+    "write_weight_csv",
     "KNOWN_STRATEGIES",
 ]
 
 CHUNK_SIZE = 250
 STEADY_WINDOW_FRACTION = 0.1
 DIVERGENCE_NORM = 1e12
-KNOWN_STRATEGIES = (
-    "atc",
-    "mdlms-averaging",
-    "maic-averaging",
-    "maic-p1",
-    "maic-p2",
-    "maic-adaptive",
-)
 
 
 def to_db(x):
@@ -135,34 +133,7 @@ class Scenario:
         return tuple(s.start for s in self.segments[1:])
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_nodes": self.n_nodes,
-            "edges": [list(e) for e in self.edges],
-            "cluster_of": list(self.cluster_of),
-            "dim": self.dim,
-            "reg_power": list(self.reg_power),
-            "noise_var": None if self.noise_var is None else list(self.noise_var),
-            "noise_db_range": None if self.noise_db_range is None else list(self.noise_db_range),
-            "profile_seed": self.profile_seed,
-            "sigma_w": list(self.sigma_w),
-            "spread_scale": self.spread_scale,
-            "step_size": self.step_size,
-            "eta": self.eta,
-            "alpha": self.alpha,
-            "segments": [
-                {
-                    "start": s.start,
-                    "cluster_means": [list(m) for m in s.cluster_means],
-                    "gamma": [list(g) for g in s.gamma],
-                }
-                for s in self.segments
-            ],
-            "iterations": self.iterations,
-            "runs": self.runs,
-            "master_seed": self.master_seed,
-            "strategies": list(self.strategies),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -219,9 +190,8 @@ class Scenario:
 @dataclass(frozen=True)
 class StrategyPlan:
     name: str
-    kind: str  # "fixed", "mdlms", "adaptive"
-    cooperation: "np.ndarray | None"  # (S, N, N) for fixed kinds
-    regularizer: "np.ndarray | None"  # (N, N) for mdlms
+    kind: str  # "fixed", "mdlms" or "adaptive", as in STRATEGY_TABLE
+    weights: "np.ndarray | None"  # (S, N, N) cooperation; (1, N, N) regularizer for mdlms
     reports: "tuple[theory.TheoryReport, ...] | None"
     certificates: "tuple[dict, ...] | None"
 
@@ -245,6 +215,49 @@ def _certificate_dict(solution: weight_opt.QPSolution) -> dict:
         "iterations": int(solution.iterations),
         "certified": bool(solution.certified),
     }
+
+
+def _no_cooperation(scenario, topology, combine, model):
+    return np.eye(scenario.n_nodes), None
+
+
+def _averaging_cooperation(scenario, topology, combine, model):
+    rho = averaging_rule_weights(topology)
+    return cooperation_from_regularizer(topology, rho, scenario.eta, scenario.step_size), None
+
+
+def _p1_cooperation(scenario, topology, combine, model):
+    coop, solution = weight_opt.solve_p1(model, topology, combine)
+    return coop, _certificate_dict(solution)
+
+
+def _p2_cooperation(scenario, topology, combine, model):
+    coop, solutions = weight_opt.solve_p2_all_nodes(model, topology)
+    return coop, {
+        "kkt_residual": max(s.kkt_residual for s in solutions),
+        "iterations": max(s.iterations for s in solutions),
+        "certified": all(s.certified for s in solutions),
+        "objective": sum(s.objective for s in solutions),
+    }
+
+
+# Every strategy, in report order, with the step it runs. A "fixed" rule
+# cooperates with one matrix per segment, from
+# ``weights(scenario, topology, combine, model) -> (matrix, certificate or None)``;
+# "mdlms" pulls toward its averaging-rule neighbors; "adaptive" learns
+# its cooperation weights online.
+STRATEGY_TABLE = {
+    "atc": ("fixed", _no_cooperation),
+    "mdlms-averaging": ("mdlms", None),
+    "maic-averaging": ("fixed", _averaging_cooperation),
+    "maic-p1": ("fixed", _p1_cooperation),
+    "maic-p2": ("fixed", _p2_cooperation),
+    "maic-adaptive": ("adaptive", None),
+}
+KNOWN_STRATEGIES = tuple(STRATEGY_TABLE)
+# the strategies with a closed-form report: fixed cooperation weights
+FIXED_WEIGHT_STRATEGIES = tuple(n for n, (kind, _) in STRATEGY_TABLE.items() if kind == "fixed")
+BASELINE = KNOWN_STRATEGIES[0]  # gains are reported over the no-cooperation rule
 
 
 def compile_scenario(scenario: Scenario) -> CompiledScenario:
@@ -282,77 +295,21 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
     )
 
     coop_mask = topology.inter_plus_mask()
-    rho = averaging_rule_weights(topology)
-    identity = np.eye(scenario.n_nodes)
-
-    def fixed_plan(name: str, coops: list[np.ndarray], certs=None) -> StrategyPlan:
-        for coop in coops:
-            validate_column_stochastic(coop, coop_mask, what=f"{name} cooperation matrix")
-        if scenario.n_nodes * scenario.dim <= theory.SIZE_CAP:
-            reports = tuple(
-                theory.analyze(combine, coop, model) for coop, model in zip(coops, models)
-            )
-        else:
-            reports = None
-        return StrategyPlan(
-            name=name,
-            kind="fixed",
-            cooperation=np.stack(coops),
-            regularizer=None,
-            reports=reports,
-            certificates=None if certs is None else tuple(certs),
-        )
-
     plans = []
     for name in scenario.strategies:
-        if name == "atc":
-            plans.append(fixed_plan(name, [identity for _ in models]))
-        elif name == "maic-averaging":
-            coop = cooperation_from_regularizer(topology, rho, scenario.eta, scenario.step_size)
-            plans.append(fixed_plan(name, [coop for _ in models]))
-        elif name == "maic-p2":
-            coops, certs = [], []
-            for model in models:
-                coop, sols = weight_opt.solve_p2_all_nodes(model, topology)
-                coops.append(coop)
-                certs.append(
-                    {
-                        "kkt_residual": max(s.kkt_residual for s in sols),
-                        "iterations": max(s.iterations for s in sols),
-                        "certified": all(s.certified for s in sols),
-                        "objective": sum(s.objective for s in sols),
-                    }
-                )
-            plans.append(fixed_plan(name, coops, certs))
-        elif name == "maic-p1":
-            coops, certs = [], []
-            for model in models:
-                coop, sol = weight_opt.solve_p1(model, topology, combine)
-                coops.append(coop)
-                certs.append(_certificate_dict(sol))
-            plans.append(fixed_plan(name, coops, certs))
-        elif name == "mdlms-averaging":
-            plans.append(
-                StrategyPlan(
-                    name=name,
-                    kind="mdlms",
-                    cooperation=None,
-                    regularizer=rho,
-                    reports=None,
-                    certificates=None,
-                )
-            )
-        elif name == "maic-adaptive":
-            plans.append(
-                StrategyPlan(
-                    name=name,
-                    kind="adaptive",
-                    cooperation=None,
-                    regularizer=None,
-                    reports=None,
-                    certificates=None,
-                )
-            )
+        kind, cooperation = STRATEGY_TABLE[name]
+        weights = reports = certificates = None
+        if kind == "fixed":
+            coops, certs = zip(*(cooperation(scenario, topology, combine, m) for m in models))
+            for coop in coops:
+                validate_column_stochastic(coop, coop_mask, what=f"{name} cooperation matrix")
+            if scenario.n_nodes * scenario.dim <= theory.SIZE_CAP:
+                reports = tuple(theory.analyze(combine, c, m) for c, m in zip(coops, models))
+            weights = np.stack(coops)
+            certificates = None if certs[0] is None else certs
+        elif kind == "mdlms":
+            weights = averaging_rule_weights(topology)[None]
+        plans.append(StrategyPlan(name, kind, weights, reports, certificates))
 
     segment_of = np.searchsorted(np.asarray(scenario.boundaries), np.arange(scenario.iterations), side="right")
     membership = np.zeros((scenario.n_nodes, topology.n_clusters))
@@ -386,11 +343,9 @@ def _draw_chunk(
     for j in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((scenario.master_seed, lo + j)))
         for s, model in enumerate(compiled.models):
-            draw = sample_parameters(model, rng)
-            w_true[j, s] = draw.values[0].reshape(n, dim)
-        z = rng.standard_normal((horizon, n, dim))
-        regressors[j] = np.einsum("nij,tnj->tni", model0._reg_sqrt, z)
-        noises[j] = rng.standard_normal((horizon, n)) * np.sqrt(model0.noise_var)
+            w_true[j, s] = sample_parameters(model, rng)
+        regressors[j] = draw_regressors(model0, horizon, rng)
+        noises[j] = draw_noises(model0, horizon, rng)
         digest = hashlib.sha256()
         digest.update(w_true[j].tobytes())
         digest.update(regressors[j].tobytes())
@@ -430,6 +385,7 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
         counts = np.zeros(horizon, dtype=np.int64)
         window_net = np.zeros(count)
         window_cluster = np.zeros((count, compiled.cluster_sizes.size))
+        frozen = False  # set once a run has aborted
 
         for t in range(horizon):
             seg = int(segment_of[t])
@@ -437,11 +393,11 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
             d_t = responses[:, t]
             if plan.kind == "fixed":
                 strategies.maic_step(
-                    state, u_t, d_t, combine, plan.cooperation[seg], step_sizes
+                    state, u_t, d_t, combine, plan.weights[seg], step_sizes
                 )
             elif plan.kind == "mdlms":
                 strategies.mdlms_step(
-                    state, u_t, d_t, combine, plan.regularizer, scenario.eta, step_sizes
+                    state, u_t, d_t, combine, plan.weights[0], scenario.eta, step_sizes
                 )
             else:
                 strategies.maic_adaptive_step(
@@ -454,6 +410,16 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
             if overflow.any():
                 aborted_at[overflow] = t
                 alive &= ~overflow
+                frozen = True
+            if frozen:
+                # aborted runs restart from zero each step, so their values
+                # stay finite and never reach the sums or the solvers
+                dead = ~alive
+                state.weights[dead] = 0.0
+                if state.increment_power is not None:
+                    state.increment_power[dead] = 0.0
+                err[dead] = 0.0
+                net[dead] = 0.0
             masked = err * alive[:, None]
             err_sum[t] = masked.sum(axis=0)
             counts[t] = int(alive.sum())
@@ -536,11 +502,6 @@ class MsdCurve:
     def cluster_steady(self) -> np.ndarray:
         return np.nanmean(self.run_cluster_steady, axis=0)
 
-    def cluster_se(self) -> np.ndarray:
-        finite = np.isfinite(self.run_cluster_steady)
-        n = finite.sum(axis=0)
-        return np.nanstd(self.run_cluster_steady, axis=0, ddof=1) / np.sqrt(n)
-
 
 def msd_gain(curve: MsdCurve, baseline: MsdCurve) -> float:
     """Steady-state improvement of ``curve`` over ``baseline`` in decibels."""
@@ -563,13 +524,6 @@ def msd_gain_se(curve: MsdCurve, baseline: MsdCurve) -> tuple[float, float]:
     return float(to_db(mb) - to_db(ma)), float(np.sqrt(max(var_gain, 0.0)))
 
 
-def paired_steady_difference(curve: MsdCurve, other: MsdCurve) -> tuple[float, float]:
-    """Mean and standard error of per-run steady-state differences."""
-    delta = curve.run_steady - other.run_steady
-    delta = delta[np.isfinite(delta)]
-    return float(delta.mean()), float(delta.std(ddof=1) / np.sqrt(delta.size))
-
-
 @dataclass
 class ScenarioResult:
     scenario: Scenario
@@ -584,7 +538,7 @@ class ScenarioResult:
 
     def summary_dict(self) -> dict:
         strategies_block = {}
-        atc_curve = self.curves.get("atc")
+        baseline = self.curves.get(BASELINE)
         for name, curve in self.curves.items():
             if curve.n_valid_runs:
                 entry = {
@@ -604,10 +558,10 @@ class ScenarioResult:
             entry["all_runs_diverged"] = curve.n_valid_runs == 0
             entry["aborted_runs"] = len(self.diagnostics["aborted"].get(name, []))
             entry["qp_fallbacks"] = self.diagnostics["qp_fallbacks"].get(name, 0)
-            if atc_curve is not None and name != "atc":
+            if baseline is not None and name != BASELINE:
                 gain = se = None
-                if curve.n_valid_runs and atc_curve.n_valid_runs:
-                    gain, se = msd_gain_se(curve, atc_curve)
+                if curve.n_valid_runs and baseline.n_valid_runs:
+                    gain, se = msd_gain_se(curve, baseline)
                 entry["gain_over_atc_db"] = gain
                 entry["gain_over_atc_se_db"] = se
             reports = self.reports.get(name)
@@ -641,14 +595,18 @@ class ScenarioResult:
             json.dump(self.summary_dict(), handle, indent=2, sort_keys=True, allow_nan=False)
             handle.write("\n")
         for name, stack in self.weights.items():
-            path = os.path.join(out_dir, f"weights_{name}.csv")
-            with open(path, "w", encoding="utf-8") as handle:
-                n = stack.shape[-1]
-                handle.write("segment,row," + ",".join(f"col{j}" for j in range(n)) + "\n")
-                for s in range(stack.shape[0]):
-                    for i in range(n):
-                        row = ",".join(f"{x:.17g}" for x in stack[s, i])
-                        handle.write(f"{s},{i},{row}\n")
+            write_weight_csv(os.path.join(out_dir, f"weights_{name}.csv"), stack)
+
+
+def write_weight_csv(path, stack: np.ndarray) -> None:
+    """One row per segment and matrix row of an (S, N, N) weight stack."""
+    with open(path, "w", encoding="utf-8") as handle:
+        n = stack.shape[-1]
+        handle.write("segment,row," + ",".join(f"col{j}" for j in range(n)) + "\n")
+        for s in range(stack.shape[0]):
+            for i in range(n):
+                row = ",".join(f"{x:.17g}" for x in stack[s, i])
+                handle.write(f"{s},{i},{row}\n")
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
@@ -695,7 +653,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
             run_cluster.append(record["run_cluster_steady"])
             aborted.extend(record["aborted"])
             fallbacks += record["fallbacks"]
-            if plan.kind == "adaptive":
+            if plan.weights is None:
                 final_weight_sum.add(record["final_weights_sum"])
                 final_weight_count += record["final_weights_count"]
         run_steady = np.concatenate(run_steady)
@@ -716,14 +674,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
         certificates[plan.name] = plan.certificates
         diagnostics["aborted"][plan.name] = aborted
         diagnostics["qp_fallbacks"][plan.name] = fallbacks
-
-        if plan.kind == "fixed":
-            weights[plan.name] = plan.cooperation
-        elif plan.kind == "mdlms":
-            weights[plan.name] = plan.regularizer[None, :, :]
-        else:
-            mean_final = final_weight_sum.total / max(final_weight_count, 1)
-            weights[plan.name] = mean_final[None, :, :]
+        mean_final = final_weight_sum.total / max(final_weight_count, 1)  # learned online
+        weights[plan.name] = mean_final[None] if plan.weights is None else plan.weights
 
     return ScenarioResult(
         scenario=scenario,

@@ -14,9 +14,10 @@ from dataclasses import replace
 
 from .harness import Scenario, SegmentSpec
 
-__all__ = ["get_scenario", "PRESET_NAMES", "TEN_NODE_EDGES", "TEN_NODE_CLUSTERS"]
+__all__ = ["get_scenario", "PRESET_NAMES", "PRESET_KNOBS", "TEN_NODE_EDGES", "TEN_NODE_CLUSTERS"]
 
 PRESET_NAMES = ("a", "b", "c", "nonstationary")
+PRESET_KNOBS = {"gamma12": "b", "delta": "c"}  # knob -> the one preset it applies to
 
 # Ten nodes, three clusters, five inter-cluster links arranged as a star:
 # clusters 1 and 2 attach to cluster 0 only. Nodes 0, 6, and 9 have no
@@ -149,10 +150,9 @@ def get_scenario(name: str, **overrides) -> Scenario:
         scenario = _scenario_nonstationary()
     else:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    if gamma12 is not None and key != "b":
-        raise ValueError("gamma12 only applies to preset b")
-    if delta is not None and key != "c":
-        raise ValueError("delta only applies to preset c")
+    for knob, value in (("gamma12", gamma12), ("delta", delta)):
+        if value is not None and key != PRESET_KNOBS[knob]:
+            raise ValueError(f"{knob} only applies to preset {PRESET_KNOBS[knob]}")
     if overrides:
         if "strategies" in overrides:
             overrides["strategies"] = tuple(overrides["strategies"])

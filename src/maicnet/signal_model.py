@@ -18,7 +18,6 @@ from .topology import ClusteredTopology
 
 __all__ = [
     "SignalModel",
-    "ParameterRealization",
     "parameter_moments_from_correlation",
     "noise_profile_uniform_db",
 ]
@@ -33,45 +32,6 @@ def _psd_sqrt(matrix: np.ndarray, what: str) -> np.ndarray:
     if eigval.min() < floor:
         raise ValueError(f"{what} is not positive semidefinite, min eigenvalue {eigval.min()!r}")
     return (eigvec * np.sqrt(np.clip(eigval, 0.0, None))) @ eigvec.T
-
-
-@dataclass(frozen=True)
-class ParameterRealization:
-    """Piecewise-constant parameter draw over an experiment horizon.
-
-    ``values`` holds one stacked (N*M,) parameter vector per stationary
-    segment; ``boundaries`` lists the iteration indices at which the
-    process switches to the next segment.
-    """
-
-    values: np.ndarray  # (n_segments, N*M)
-    boundaries: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if values.shape[0] != len(self.boundaries) + 1:
-            raise ValueError("need exactly one boundary between consecutive segments")
-        if any(b <= a for a, b in zip((0,) + self.boundaries, self.boundaries)):
-            raise ValueError("boundaries must be strictly increasing and positive")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def segment_at(self, iteration: int) -> int:
-        seg = 0
-        for boundary in self.boundaries:
-            if iteration >= boundary:
-                seg += 1
-        return seg
-
-    def at(self, iteration: int) -> np.ndarray:
-        return self.values[self.segment_at(iteration)]
-
-    def blocks(self, segment: int = 0, dim: "int | None" = None) -> np.ndarray:
-        """Per-node (N, M) view of one segment's stacked parameters."""
-        stacked = self.values[segment]
-        if dim is None:
-            raise ValueError("pass the per-node dimension to reshape the stack")
-        return stacked.reshape(-1, dim)
 
 
 @dataclass(frozen=True)
@@ -307,8 +267,8 @@ def parameter_moments_from_correlation(
     return mean_stack, cov_stack
 
 
-def sample_parameters(model: SignalModel, rng: np.random.Generator) -> ParameterRealization:
-    """Draw one stationary parameter realization.
+def sample_parameters(model: SignalModel, rng: np.random.Generator) -> np.ndarray:
+    """Draw one stationary (N, M) parameter realization.
 
     The draw happens at cluster level and is then expanded to nodes, so
     same-cluster nodes receive bitwise identical vectors.
@@ -316,9 +276,7 @@ def sample_parameters(model: SignalModel, rng: np.random.Generator) -> Parameter
     p, dim = model.n_clusters, model.dim
     z = rng.standard_normal(p * dim)
     cluster_stack = model.cluster_mean().reshape(-1) + model._cluster_sqrt @ z
-    blocks = cluster_stack.reshape(p, dim)
-    stacked = np.concatenate([blocks[model.cluster_of[k]] for k in range(model.n_nodes)])
-    return ParameterRealization(values=stacked[None, :])
+    return cluster_stack.reshape(p, dim)[model.cluster_of]
 
 
 def draw_regressors(model: SignalModel, n_iters: int, rng: np.random.Generator) -> np.ndarray:
@@ -331,23 +289,6 @@ def draw_noises(model: SignalModel, n_iters: int, rng: np.random.Generator) -> n
     """(T, N) Gaussian observation noises."""
     z = rng.standard_normal((n_iters, model.n_nodes))
     return z * np.sqrt(model.noise_var)
-
-
-def observe(
-    realization: ParameterRealization,
-    model: SignalModel,
-    node: int,
-    rng: np.random.Generator,
-    iteration: int = 0,
-) -> tuple[float, np.ndarray]:
-    """One (response, regressor) pair for a single node.
-
-    Draw order is regressor first, then noise, matching the batched paths.
-    """
-    u = model._reg_sqrt[node] @ rng.standard_normal(model.dim)
-    v = float(rng.standard_normal()) * float(np.sqrt(model.noise_var[node]))
-    w = realization.at(iteration)[node * model.dim : (node + 1) * model.dim]
-    return float(u @ w) + v, u
 
 
 def noise_profile_uniform_db(

@@ -19,7 +19,7 @@ single run and a batch of runs share one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "adapt",
     "inter_cluster_combine",
     "intra_cluster_combine",
-    "atc_step",
     "mdlms_step",
     "maic_step",
     "maic_adaptive_step",
@@ -51,8 +50,6 @@ class StrategyState:
     """
 
     weights: np.ndarray  # (..., N, M)
-    adapted: "np.ndarray | None" = None
-    cooperated: "np.ndarray | None" = None
     increment_power: "np.ndarray | None" = None  # (..., N, N)
     learned_weights: "np.ndarray | None" = None  # (..., N, N)
     fallback_count: int = 0
@@ -109,22 +106,6 @@ def intra_cluster_combine(cooperated: np.ndarray, combine: np.ndarray) -> np.nda
     return _mix(cooperated, combine)
 
 
-def atc_step(
-    state: StrategyState,
-    regressors: np.ndarray,
-    responses: np.ndarray,
-    combine: np.ndarray,
-    step_sizes: np.ndarray,
-) -> np.ndarray:
-    """Adapt then combine, no information crossing cluster borders."""
-    psi = adapt(state.weights, regressors, responses, step_sizes)
-    new = intra_cluster_combine(psi, combine)
-    state.adapted = psi
-    state.cooperated = psi
-    state.weights = new
-    return new
-
-
 def mdlms_step(
     state: StrategyState,
     regressors: np.ndarray,
@@ -144,8 +125,6 @@ def mdlms_step(
     mu = np.atleast_1d(np.asarray(step_sizes, dtype=float))
     psi = psi + mu[..., :, None] * strength * pull
     new = intra_cluster_combine(psi, combine)
-    state.adapted = psi
-    state.cooperated = psi
     state.weights = new
     return new
 
@@ -162,8 +141,6 @@ def maic_step(
     psi = adapt(state.weights, regressors, responses, step_sizes)
     phi = inter_cluster_combine(psi, cooperation)
     new = intra_cluster_combine(phi, combine)
-    state.adapted = psi
-    state.cooperated = phi
     state.weights = new
     return new
 
@@ -243,8 +220,6 @@ def maic_adaptive_step(
     learned = _solve_learned_columns(state, psi, topology, alpha, qp_solver)
     phi = inter_cluster_combine(psi, learned)
     new = intra_cluster_combine(phi, combine)
-    state.adapted = psi
-    state.cooperated = phi
     state.learned_weights = learned
     state.weights = new
     return new

@@ -20,17 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signal_model import SignalModel
-from .topology import ClusteredTopology, kron_expand
+from .topology import kron_expand
 
 __all__ = [
     "vec",
     "mean_transition",
-    "sampled_variance_transition",
     "spectral_radius",
     "mean_stability_bounds",
     "contraction_bound",
     "mean_bias_vector",
-    "mean_error_trajectory",
     "msd_forcing_terms",
     "solve_stein",
     "steady_state_msd",
@@ -86,54 +84,6 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
-def sampled_variance_transition(
-    combine: np.ndarray,
-    cooperation: np.ndarray,
-    model: SignalModel,
-    n_samples: int,
-    rng: np.random.Generator,
-    n_batches: int = 20,
-    size_cap: int = SIZE_CAP,
-) -> tuple[np.ndarray, float, float]:
-    """Monte-Carlo estimate of the exact second-order transition.
-
-    Draws per-iteration regressor matrices, lifts each instantaneous
-    transition, and averages. Returns the averaged operator, its spectral
-    radius, and a spread estimate from batch means.
-    """
-    dim, n = model.dim, model.n_nodes
-    if n * dim > size_cap:
-        raise ValueError(f"stacked dimension {n * dim} exceeds the size cap {size_cap}")
-    big = kron_expand(combine, dim).T @ kron_expand(cooperation, dim).T
-    mu = step_size_matrix(model)
-    identity = np.eye(n * dim)
-
-    n_batches = max(1, min(n_batches, n_samples))
-    batch_sizes = np.full(n_batches, n_samples // n_batches)
-    batch_sizes[: n_samples % n_batches] += 1
-    batch_means = []
-    total = np.zeros(((n * dim) ** 2, (n * dim) ** 2))
-    for size in batch_sizes:
-        batch_sum = np.zeros_like(total)
-        for _ in range(int(size)):
-            u = np.einsum(
-                "nij,nj->ni", model._reg_sqrt, rng.standard_normal((n, dim))
-            )
-            inst_cov = _stack_block_diag(np.einsum("ni,nj->nij", u, u))
-            inst = big @ (identity - mu @ inst_cov)
-            batch_sum += np.kron(inst.T, inst.T)
-        batch_means.append(batch_sum / size)
-        total += batch_sum
-    estimate = total / n_samples
-    rho = spectral_radius(estimate)
-    if len(batch_means) > 1:
-        batch_rhos = [spectral_radius(m) for m in batch_means]
-        spread = float(np.std(batch_rhos, ddof=1) / np.sqrt(len(batch_rhos)))
-    else:
-        spread = float("nan")
-    return estimate, rho, spread
-
-
 def mean_stability_bounds(model: SignalModel) -> tuple[np.ndarray, bool]:
     """Per-node step-size bounds ``2 / max eigenvalue`` and whether all hold."""
     bounds = np.array([2.0 / np.linalg.eigvalsh(c)[-1] for c in model.reg_cov])
@@ -165,19 +115,6 @@ def mean_bias_vector(
     big_coop = kron_expand(cooperation, dim)
     identity = np.eye(model.n_nodes * dim)
     return big_combine.T @ (identity - big_coop.T) @ model.mean_stack
-
-
-def mean_error_trajectory(
-    transition: np.ndarray, bias: np.ndarray, start: np.ndarray, n_iters: int
-) -> np.ndarray:
-    """Iterates of ``e <- transition e + bias``, start included, (T+1, N*M)."""
-    out = np.empty((n_iters + 1, start.shape[0]))
-    out[0] = start
-    current = np.asarray(start, dtype=float)
-    for i in range(1, n_iters + 1):
-        current = transition @ current + bias
-        out[i] = current
-    return out
 
 
 @dataclass(frozen=True)

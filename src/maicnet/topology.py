@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "ClusteredTopology",
-    "WeightMatrices",
     "metropolis_weights",
     "averaging_rule_weights",
     "cooperation_from_regularizer",
@@ -288,26 +287,3 @@ def cooperation_from_regularizer(
 def kron_expand(weights: np.ndarray, block_dim: int) -> np.ndarray:
     """Expand an (N, N) weight matrix to (N*block_dim, N*block_dim) blocks."""
     return np.kron(np.asarray(weights, dtype=float), np.eye(block_dim))
-
-
-@dataclass(frozen=True)
-class WeightMatrices:
-    """Combine and cooperation weights for one network configuration."""
-
-    combine: np.ndarray  # intra-cluster, (N, N)
-    cooperation: np.ndarray  # inter-cluster plus self, (N, N)
-    dim: int
-
-    def validate(self, topology: ClusteredTopology, tol: float = STOCHASTIC_TOL) -> None:
-        validate_column_stochastic(
-            self.combine, topology.intra_mask(), tol, what="combine matrix"
-        )
-        validate_column_stochastic(
-            self.cooperation, topology.inter_plus_mask(), tol, what="cooperation matrix"
-        )
-
-    def combine_expanded(self) -> np.ndarray:
-        return kron_expand(self.combine, self.dim)
-
-    def cooperation_expanded(self) -> np.ndarray:
-        return kron_expand(self.cooperation, self.dim)

@@ -27,12 +27,10 @@ __all__ = [
     "solve_simplex_qp",
     "solve_simplex_qp_batch",
     "build_local_qp",
-    "local_qp_from_estimates",
     "solve_p2_all_nodes",
     "CentralizedQP",
     "build_centralized_qp",
     "solve_p1",
-    "centralized_objective_expanded",
     "block_trace",
 ]
 
@@ -287,24 +285,6 @@ def build_local_qp(node: int, model: SignalModel, topology: ClusteredTopology) -
     return SimplexQP(quad=quad, lin=lin, support=support)
 
 
-def local_qp_from_estimates(
-    support: tuple[int, ...],
-    noise_estimates: np.ndarray,
-    candidates: np.ndarray,
-    own: np.ndarray,
-) -> SimplexQP:
-    """Local program assembled from online estimates.
-
-    ``candidates`` stacks the current parameter iterates of the support
-    nodes as rows; ``own`` is the node's own iterate; ``noise_estimates``
-    is the smoothed squared adaptation-increment proxy per support node.
-    """
-    candidates = np.asarray(candidates, dtype=float)
-    quad = np.diag(np.asarray(noise_estimates, dtype=float)) + candidates @ candidates.T
-    lin = candidates @ np.asarray(own, dtype=float)
-    return SimplexQP(quad=quad, lin=lin, support=tuple(support))
-
-
 def solve_p2_all_nodes(
     model: SignalModel,
     topology: ClusteredTopology,
@@ -411,30 +391,3 @@ def solve_p1(
         residual = certificate(coop)
     solution = QPSolution(coop, qp.objective(coop), residual, iterations, residual <= tol)
     return coop, solution
-
-
-def centralized_objective_expanded(
-    coop: np.ndarray, combine: np.ndarray, model: SignalModel
-) -> float:
-    """Centralized objective evaluated on the full stacked moments.
-
-    Forms the stacked quadratic and linear terms literally, without the
-    trace compression, to cross-check the reduced evaluator.
-    """
-    from .topology import kron_expand
-
-    dim = model.dim
-    mu = model.uniform_step_size()
-    combine_big = kron_expand(combine, dim)
-    coop_big = kron_expand(coop, dim)
-    gram = combine_big @ combine_big.T
-    noise_big = np.zeros_like(gram)
-    for k in range(model.n_nodes):
-        block = slice(k * dim, (k + 1) * dim)
-        noise_big[block, block] = model.noise_var[k] * model.reg_cov[k]
-    second = model.parameter_second_moment
-    quad_term = (mu**2) * noise_big + second
-    kron_quad = np.kron(gram, quad_term)
-    kron_lin = 2.0 * (second @ gram).reshape(-1, order="F")
-    y = coop_big.reshape(-1, order="F")
-    return float(y @ kron_quad @ y - kron_lin @ y)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from maicnet.strategies import StrategyState
-from maicnet.theory import SIZE_CAP
-from maicnet.topology import ClusteredTopology
+from maicnet.signal_model import SignalModel
+from maicnet.strategies import StrategyState, adapt, intra_cluster_combine
+from maicnet.theory import SIZE_CAP, _stack_block_diag, spectral_radius, step_size_matrix
+from maicnet.topology import ClusteredTopology, kron_expand
 from maicnet.weight_opt import EPS_RIDGE, project_simplex
 
 
@@ -208,6 +209,67 @@ def msd_series(
     raise RuntimeError("variance series did not converge")
 
 
+def sampled_variance_transition(
+    combine: np.ndarray,
+    cooperation: np.ndarray,
+    model: SignalModel,
+    n_samples: int,
+    rng: np.random.Generator,
+    n_batches: int = 20,
+    size_cap: int = SIZE_CAP,
+) -> tuple[np.ndarray, float, float]:
+    """Monte-Carlo estimate of the exact second-order transition.
+
+    Draws per-iteration regressor matrices, lifts each instantaneous
+    transition, and averages. Returns the averaged operator, its spectral
+    radius, and a spread estimate from batch means.
+    """
+    dim, n = model.dim, model.n_nodes
+    if n * dim > size_cap:
+        raise ValueError(f"stacked dimension {n * dim} exceeds the size cap {size_cap}")
+    big = kron_expand(combine, dim).T @ kron_expand(cooperation, dim).T
+    mu = step_size_matrix(model)
+    identity = np.eye(n * dim)
+
+    n_batches = max(1, min(n_batches, n_samples))
+    batch_sizes = np.full(n_batches, n_samples // n_batches)
+    batch_sizes[: n_samples % n_batches] += 1
+    batch_means = []
+    total = np.zeros(((n * dim) ** 2, (n * dim) ** 2))
+    for size in batch_sizes:
+        batch_sum = np.zeros_like(total)
+        for _ in range(int(size)):
+            u = np.einsum(
+                "nij,nj->ni", model._reg_sqrt, rng.standard_normal((n, dim))
+            )
+            inst_cov = _stack_block_diag(np.einsum("ni,nj->nij", u, u))
+            inst = big @ (identity - mu @ inst_cov)
+            batch_sum += np.kron(inst.T, inst.T)
+        batch_means.append(batch_sum / size)
+        total += batch_sum
+    estimate = total / n_samples
+    rho = spectral_radius(estimate)
+    if len(batch_means) > 1:
+        batch_rhos = [spectral_radius(m) for m in batch_means]
+        spread = float(np.std(batch_rhos, ddof=1) / np.sqrt(len(batch_rhos)))
+    else:
+        spread = float("nan")
+    return estimate, rho, spread
+
+
+def mean_error_trajectory(
+    transition: np.ndarray, bias: np.ndarray, start: np.ndarray, n_iters: int
+) -> np.ndarray:
+    """Iterates of ``e <- transition e + bias``, start included, (T+1, N*M)."""
+    out = np.empty((n_iters + 1, start.shape[0]))
+    out[0] = start
+    current = np.asarray(start, dtype=float)
+    for i in range(1, n_iters + 1):
+        current = transition @ current + bias
+        out[i] = current
+    return out
+
+
 def random_cooperation(topology, rng: np.random.Generator) -> np.ndarray:
     """Random left-stochastic cooperation weights on the allowed support."""
     n = topology.n_nodes
@@ -271,6 +333,20 @@ def einsum_mdlms_pull(w, regularizer):
     pull = np.einsum("...lm,lk->...km", w, regularizer)
     pull -= regularizer.sum(axis=0)[:, None] * w
     return pull
+
+
+def atc_step(
+    state: StrategyState,
+    regressors: np.ndarray,
+    responses: np.ndarray,
+    combine: np.ndarray,
+    step_sizes: np.ndarray,
+) -> np.ndarray:
+    """Adapt then combine, no information crossing cluster borders."""
+    psi = adapt(state.weights, regressors, responses, step_sizes)
+    new = intra_cluster_combine(psi, combine)
+    state.weights = new
+    return new
 
 
 def enumerate_subsets(n: int) -> list[np.ndarray]:
@@ -409,3 +485,28 @@ def solve_learned_columns_loop(
     state.fallback_count += fallbacks
     state.increment_power = flat_power.reshape(batch_shape + (n, n))
     return learned.reshape(batch_shape + (n, n))
+
+
+def centralized_objective_expanded(
+    coop: np.ndarray, combine: np.ndarray, model: SignalModel
+) -> float:
+    """Centralized objective evaluated on the full stacked moments.
+
+    Forms the stacked quadratic and linear terms literally, without the
+    trace compression, to cross-check the reduced evaluator.
+    """
+    dim = model.dim
+    mu = model.uniform_step_size()
+    combine_big = kron_expand(combine, dim)
+    coop_big = kron_expand(coop, dim)
+    gram = combine_big @ combine_big.T
+    noise_big = np.zeros_like(gram)
+    for k in range(model.n_nodes):
+        block = slice(k * dim, (k + 1) * dim)
+        noise_big[block, block] = model.noise_var[k] * model.reg_cov[k]
+    second = model.parameter_second_moment
+    quad_term = (mu**2) * noise_big + second
+    kron_quad = np.kron(gram, quad_term)
+    kron_lin = 2.0 * (second @ gram).reshape(-1, order="F")
+    y = coop_big.reshape(-1, order="F")
+    return float(y @ kron_quad @ y - kron_lin @ y)

@@ -16,6 +16,7 @@ import pytest
 from maicnet import harness, presets, strategies, theory, weight_opt
 from maicnet.topology import averaging_rule_weights
 from oracles import (
+    atc_step,
     cross_forcing_fixed_point,
     forcing_matrices_reference,
     grid_min_quadratic,
@@ -318,7 +319,7 @@ class TestAcceptance:
         for _ in range(20):
             u = rng.standard_normal((batch, n, dim))
             d = rng.standard_normal((batch, n))
-            strategies.atc_step(plain, u, d, combine, model.step_sizes)
+            atc_step(plain, u, d, combine, model.step_sizes)
             strategies.maic_step(merged, u, d, combine, identity, model.step_sizes)
             strategies.mdlms_step(
                 pulled, u, d, combine, regularizer, 0.0, model.step_sizes

@@ -208,6 +208,18 @@ class TestSimulate:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["scenario"]["segments"][0]["gamma"][0][1] == 0.2
 
+    @pytest.mark.parametrize("knob", ["--gamma12", "--delta"])
+    def test_preset_knob_on_a_scenario_file_fails_cleanly(self, capsys, tmp_path, knob):
+        spec = tmp_path / "custom.json"
+        presets.get_scenario("b", runs=4, iterations=30).to_json(spec)
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(spec), knob, "0.5", "--out", str(tmp_path / "x")
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {knob[2:]} only applies to preset")
+
     def test_invalid_override_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

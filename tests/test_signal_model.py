@@ -10,15 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maicnet.signal_model import (
-    SignalModel,
     draw_noises,
     draw_regressors,
     noise_profile_uniform_db,
-    observe,
     parameter_moments_from_correlation,
     sample_parameters,
 )
-from maicnet.topology import ClusteredTopology
 
 
 class TestMomentConstruction:
@@ -114,8 +111,8 @@ class TestModelValidation:
 class TestSampling:
     def test_same_cluster_nodes_draw_identical_parameters(self, line_model):
         rng = np.random.default_rng(7)
-        draw = sample_parameters(line_model, rng)
-        blocks = draw.blocks(0, dim=line_model.dim)
+        blocks = sample_parameters(line_model, rng)
+        assert blocks.shape == (4, line_model.dim)
         assert np.array_equal(blocks[0], blocks[1])
         assert np.array_equal(blocks[2], blocks[3])
         assert not np.array_equal(blocks[0], blocks[2])
@@ -123,7 +120,7 @@ class TestSampling:
     def test_parameter_mean_and_spread_match_moments(self, line_model):
         rng = np.random.default_rng(11)
         draws = np.stack(
-            [sample_parameters(line_model, rng).values[0] for _ in range(4000)]
+            [sample_parameters(line_model, rng).reshape(-1) for _ in range(4000)]
         )
         assert np.allclose(draws.mean(axis=0), line_model.mean_stack, atol=5e-3)
         cov = np.cov(draws.T)
@@ -140,15 +137,6 @@ class TestSampling:
         v = draw_noises(line_model, 20000, rng)
         assert np.allclose(v.mean(axis=0), 0.0, atol=0.01)
         assert np.allclose(np.var(v, axis=0), line_model.noise_var, atol=0.002)
-
-    def test_observe_consistent_with_realization(self, line_model):
-        rng_draw = np.random.default_rng(5)
-        realization = sample_parameters(line_model, rng_draw)
-        d, u = observe(realization, line_model, node=2, rng=np.random.default_rng(6))
-        w = realization.values[0][2:3]
-        v = d - float(u @ w)
-        # the residual is exactly the noise draw, so it stays a few sigmas
-        assert abs(v) < 6 * np.sqrt(line_model.noise_var[2])
 
     @given(st.integers(min_value=1, max_value=30))
     @settings(max_examples=20, deadline=None)
@@ -168,35 +156,3 @@ class TestSampling:
         b = noise_profile_uniform_db(8, -15.0, -5.0, np.random.default_rng(37))
         assert np.array_equal(a, b)
 
-
-class TestRealization:
-    def test_blocks_requires_a_dimension(self, line_model):
-        draw = sample_parameters(line_model, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            draw.blocks(0)
-
-    def test_segment_lookup(self, two_cluster_line):
-        model = SignalModel.from_profiles(
-            two_cluster_line,
-            dim=1,
-            reg_power=(1.0,) * 4,
-            noise_var=(0.01,) * 4,
-            step_size=0.05,
-            cluster_means=((1.0,), (2.0,)),
-            sigma_w=(1.0, 1.0),
-            spread_scale=0.0,
-            gamma=((1.0, 0.0), (0.0, 1.0)),
-        )
-        rng = np.random.default_rng(1)
-        first = sample_parameters(model, rng).values[0]
-        second = sample_parameters(model, rng).values[0]
-        from maicnet.signal_model import ParameterRealization
-
-        realization = ParameterRealization(
-            values=np.stack([first, second]), boundaries=(50,)
-        )
-        assert realization.segment_at(0) == 0
-        assert realization.segment_at(49) == 0
-        assert realization.segment_at(50) == 1
-        assert np.array_equal(realization.at(10), first)
-        assert np.array_equal(realization.at(80), second)

@@ -8,7 +8,6 @@ import pytest
 from maicnet.strategies import (
     _solve_learned_columns,
     adapt,
-    atc_step,
     init_state,
     inter_cluster_combine,
     intra_cluster_combine,
@@ -23,11 +22,13 @@ from maicnet.topology import (
 )
 from maicnet.weight_opt import solve_simplex_qp_batch
 from oracles import (
+    atc_step,
     einsum_inter_cluster_combine,
     einsum_intra_cluster_combine,
     einsum_mdlms_pull,
     loop_maic_step,
     loop_mdlms_pull,
+    random_cooperation,
     solve_learned_columns_loop,
 )
 
@@ -249,14 +250,16 @@ class TestMaicStep:
     def test_state_records_intermediate_stages(self):
         top = ClusteredTopology.from_edges(4, ((0, 1), (1, 2), (2, 3)), (0, 0, 1, 1))
         combine = metropolis_weights(top)
-        coop = np.eye(4)
+        coop = random_cooperation(top, np.random.default_rng(9))
         mu = np.full(4, 0.1)
         state = init_state(4, 2)
         u, d = _draw_inputs(np.random.default_rng(9), 4, 2)
-        maic_step(state, u, d, combine, coop, mu)
-        assert np.array_equal(state.adapted, adapt(np.zeros((4, 2)), u, d, mu))
-        assert np.array_equal(state.cooperated, state.adapted)  # identity cooperation
-        assert np.array_equal(state.weights, intra_cluster_combine(state.cooperated, combine))
+        new = maic_step(state, u, d, combine, coop, mu)
+        staged = intra_cluster_combine(
+            inter_cluster_combine(adapt(np.zeros((4, 2)), u, d, mu), coop), combine
+        )
+        assert np.array_equal(new, staged)
+        assert np.array_equal(state.weights, staged)
 
 
 class TestMdlmsStep:

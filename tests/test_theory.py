@@ -11,11 +11,9 @@ from maicnet.theory import (
     analyze,
     contraction_bound,
     mean_bias_vector,
-    mean_error_trajectory,
     mean_stability_bounds,
     mean_transition,
     msd_forcing_terms,
-    sampled_variance_transition,
     spectral_radius,
     solve_stein,
     steady_state_msd,
@@ -26,9 +24,11 @@ from oracles import (
     cross_forcing_fixed_point,
     forcing_matrices_reference,
     lifted_transition_bruteforce,
+    mean_error_trajectory,
     mean_transition_reference,
     msd_series,
     random_cooperation,
+    sampled_variance_transition,
     variance_transition,
 )
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from maicnet.topology import (
     ClusteredTopology,
-    WeightMatrices,
     averaging_rule_weights,
     cooperation_from_regularizer,
     kron_expand,
@@ -237,18 +236,3 @@ class TestExpansion:
         assert big.shape == (4, 4)
         assert np.array_equal(big, np.kron(weights, np.eye(2)))
         assert big[0, 2] == 0.2 and big[1, 3] == 0.2 and big[0, 3] == 0.0
-
-    def test_weight_matrices_validate_and_expand(self, two_cluster_line):
-        combine = metropolis_weights(two_cluster_line)
-        coop = np.eye(4)
-        pair = WeightMatrices(combine=combine, cooperation=coop, dim=3)
-        pair.validate(two_cluster_line)
-        assert pair.combine_expanded().shape == (12, 12)
-        assert np.array_equal(pair.cooperation_expanded(), np.eye(12))
-
-    def test_weight_matrices_validate_rejects_bad_cooperation(self, two_cluster_line):
-        combine = metropolis_weights(two_cluster_line)
-        coop = np.full((4, 4), 0.25)  # dense, crosses the allowed support
-        pair = WeightMatrices(combine=combine, cooperation=coop, dim=1)
-        with pytest.raises(ValueError, match="outside its support"):
-            pair.validate(two_cluster_line)

@@ -19,9 +19,7 @@ from maicnet.weight_opt import (
     block_trace,
     build_centralized_qp,
     build_local_qp,
-    centralized_objective_expanded,
     kkt_residual,
-    local_qp_from_estimates,
     project_simplex,
     solve_p1,
     solve_p2_all_nodes,
@@ -29,6 +27,7 @@ from maicnet.weight_opt import (
     solve_simplex_qp_batch,
 )
 from oracles import (
+    centralized_objective_expanded,
     grid_min_quadratic,
     grid_nearest_simplex_point,
     project_columns_loop,
@@ -334,14 +333,6 @@ class TestLocalProgram:
         )
         assert np.allclose(qp.quad, expected_quad, atol=1e-15)
         assert np.allclose(qp.lin, second[idx, 1], atol=1e-15)
-
-    def test_estimate_based_program_matches_structure(self):
-        candidates = np.array([[1.0, 0.0], [0.5, 0.5]])
-        own = np.array([1.0, 0.2])
-        qp = local_qp_from_estimates((0, 3), np.array([0.1, 0.2]), candidates, own)
-        assert np.allclose(qp.quad, np.diag([0.1, 0.2]) + candidates @ candidates.T)
-        assert np.allclose(qp.lin, candidates @ own)
-        assert qp.support == (0, 3)
 
     def test_p2_columns_live_on_the_support(self, two_cluster_line, line_model):
         coop, solutions = solve_p2_all_nodes(line_model, two_cluster_line)
