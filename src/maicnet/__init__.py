@@ -26,7 +26,7 @@ from .topology import (
     cooperation_from_regularizer,
     metropolis_weights,
 )
-from .weight_opt import solve_p1, solve_p2_all_nodes, solve_simplex_qp
+from .weight_opt import solve_p1, solve_p2_all_nodes
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "sample_parameters",
     "solve_p1",
     "solve_p2_all_nodes",
-    "solve_simplex_qp",
     "steady_state_msd",
     "__version__",
 ]

@@ -303,8 +303,7 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
             coops, certs = zip(*(cooperation(scenario, topology, combine, m) for m in models))
             for coop in coops:
                 validate_column_stochastic(coop, coop_mask, what=f"{name} cooperation matrix")
-            if scenario.n_nodes * scenario.dim <= theory.SIZE_CAP:
-                reports = tuple(theory.analyze(combine, c, m) for c, m in zip(coops, models))
+            reports = tuple(theory.analyze(combine, c, m) for c, m in zip(coops, models))
             weights = np.stack(coops)
             certificates = None if certs[0] is None else certs
         elif kind == "mdlms":

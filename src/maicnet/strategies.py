@@ -150,7 +150,6 @@ def _solve_learned_columns(
     psi: np.ndarray,
     topology: ClusteredTopology,
     alpha: float,
-    qp_solver,
 ) -> np.ndarray:
     """Update increment-power estimates and solve one weight column per node."""
     w_prev = state.weights
@@ -158,7 +157,6 @@ def _solve_learned_columns(
     n, dim = w_prev.shape[-2:]
     flat_w = w_prev.reshape(-1, n, dim)
     flat_psi = psi.reshape(-1, n, dim)
-    batch = flat_w.shape[0]
 
     # Smoothed squared distance between each adapted iterate and the
     # receiving node's previous iterate, tracked on neighborhood pairs.
@@ -170,28 +168,14 @@ def _solve_learned_columns(
     mask = topology.adjacency
     flat_power[:, mask] = alpha * flat_power[:, mask] + (1.0 - alpha) * sq_dist[:, mask]
 
-    # one solve per support size; a failed instance keeps only its own node
-    learned = np.zeros((batch, n, n))
-    fallbacks = 0
-    for nodes, supports in topology.inter_plus_groups:
-        size = supports.shape[1]
-        if size == 1:
-            learned[:, nodes, nodes] = 1.0
-            continue
-        candidates = flat_w[:, supports, :]
-        quad = np.einsum("bgim,bgjm->bgij", candidates, candidates)
-        idx = np.arange(size)
-        quad[..., idx, idx] += flat_power[:, supports, nodes[:, None]]
-        lin = np.einsum("bgim,bgm->bgi", candidates, flat_w[:, nodes, :])
-        column, ok = qp_solver(quad.reshape(-1, size, size), lin.reshape(-1, size))
-        column = column.reshape(batch, nodes.size, size)
-        bad = ~ok.reshape(batch, nodes.size)
-        if bad.any():
-            column[bad] = (supports == nodes[:, None])[np.nonzero(bad)[1]]
-            fallbacks += int(bad.sum())
-        learned[:, supports, nodes[:, None]] = column
+    gram = np.einsum("bim,bjm->bij", flat_w, flat_w)
+    learned, ok = weight_opt.solve_local_columns(topology, gram, flat_power)
+    # a failed instance keeps only its own node
+    runs, nodes = np.nonzero(~ok)
+    learned[runs, :, nodes] = 0.0
+    learned[runs, nodes, nodes] = 1.0
 
-    state.fallback_count += fallbacks
+    state.fallback_count += runs.size
     state.increment_power = flat_power.reshape(batch_shape + (n, n))
     return learned.reshape(batch_shape + (n, n))
 
@@ -204,7 +188,6 @@ def maic_adaptive_step(
     topology: ClusteredTopology,
     alpha: float,
     step_sizes: np.ndarray,
-    qp_solver=None,
 ) -> np.ndarray:
     """Cooperation rule with weights learned online.
 
@@ -214,10 +197,8 @@ def maic_adaptive_step(
     stand in for the unknown parameters. A node whose solve fails keeps
     only its own iterate for that iteration.
     """
-    if qp_solver is None:
-        qp_solver = weight_opt.solve_simplex_qp_batch
     psi = adapt(state.weights, regressors, responses, step_sizes)
-    learned = _solve_learned_columns(state, psi, topology, alpha, qp_solver)
+    learned = _solve_learned_columns(state, psi, topology, alpha)
     phi = inter_cluster_combine(psi, learned)
     new = intra_cluster_combine(phi, combine)
     state.learned_weights = learned

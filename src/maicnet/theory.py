@@ -36,7 +36,7 @@ __all__ = [
     "analyze",
 ]
 
-SIZE_CAP = 64
+SIZE_CAP = 64  # NM cap of the lifted test references; the Stein solve has none
 SOLVE_RESIDUAL_TOL = 1e-10
 STEIN_MAX_DOUBLINGS = 64
 

@@ -1,13 +1,12 @@
 """Simplex-constrained quadratic programs for cooperation weights.
 
-Two program families are covered. The local program picks one column of
-the cooperation matrix per node from that node's inter-cluster support,
-using only quantities the node can know or estimate. The centralized
-program picks the whole matrix at once and couples columns through the
-combine weights. Both reduce to convex QPs over probability simplices
-and are solved by accelerated projected gradient descent with a KKT
-certificate; a direct active-set enumeration is provided for batches of
-small instances.
+The local program picks one column of the cooperation matrix per node
+over its inter-cluster support. P2 builds it from the exact moments, the
+adaptive rule from online estimates, and both solve it exactly with
+``solve_local_columns`` (face enumeration, batched by support size). The
+centralized program P1 couples the columns through the combine weights
+and is solved by masked accelerated projected gradient with a KKT
+certificate, which also serves P2 on supports too large to enumerate.
 """
 
 from __future__ import annotations
@@ -22,11 +21,9 @@ from .topology import ClusteredTopology
 
 __all__ = [
     "project_simplex",
-    "SimplexQP",
     "QPSolution",
-    "solve_simplex_qp",
     "solve_simplex_qp_batch",
-    "build_local_qp",
+    "solve_local_columns",
     "solve_p2_all_nodes",
     "CentralizedQP",
     "build_centralized_qp",
@@ -36,6 +33,9 @@ __all__ = [
 
 EPS_RIDGE = 1e-12
 KKT_ACTIVE_TOL = 1e-10
+KKT_TOL = 1e-8
+# the exact solver enumerates all 2**n - 1 faces of an n-node support
+MAX_FACE_SUPPORT = 10
 
 
 def project_simplex(v: np.ndarray, mask: "np.ndarray | None" = None) -> np.ndarray:
@@ -66,35 +66,6 @@ def project_simplex(v: np.ndarray, mask: "np.ndarray | None" = None) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class SimplexQP:
-    """Minimize ``q' quad q - 2 lin' q`` over the probability simplex.
-
-    ``support`` records which node each coordinate refers to.
-    """
-
-    quad: np.ndarray
-    lin: np.ndarray
-    support: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        quad = np.asarray(self.quad, dtype=float)
-        lin = np.asarray(self.lin, dtype=float)
-        n = lin.shape[0]
-        if quad.shape != (n, n) or len(self.support) != n:
-            raise ValueError("inconsistent QP dimensions")
-        if not np.allclose(quad, quad.T, atol=1e-10, rtol=0.0):
-            raise ValueError("quadratic term must be symmetric")
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "lin", lin)
-
-    def objective(self, q: np.ndarray) -> float:
-        return float(q @ self.quad @ q - 2.0 * self.lin @ q)
-
-    def gradient(self, q: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.quad @ q - self.lin)
-
-
-@dataclass(frozen=True)
 class QPSolution:
     weights: np.ndarray
     objective: float
@@ -118,38 +89,6 @@ def kkt_residual(q: np.ndarray, grad: np.ndarray, active_tol: float = KKT_ACTIVE
     inactive = ~active
     shortfall = max(0.0, lo - float(grad[inactive].min())) if inactive.any() else 0.0
     return max(spread, shortfall)
-
-
-def solve_simplex_qp(qp: SimplexQP, tol: float = 1e-8, max_iters: int = 10_000) -> QPSolution:
-    """Accelerated projected gradient with a fixed step of one over the
-    gradient Lipschitz constant, restarted when momentum points uphill.
-    """
-    n = qp.lin.shape[0]
-    quad = qp.quad + EPS_RIDGE * np.eye(n)
-    if n == 1:
-        q = np.ones(1)
-        return QPSolution(q, qp.objective(q), 0.0, 0, True)
-
-    lipschitz = 2.0 * float(np.linalg.eigvalsh(quad)[-1])
-    step = 1.0 / max(lipschitz, EPS_RIDGE)
-    q = np.full(n, 1.0 / n)
-    momentum = q.copy()
-    t = 1.0
-    residual = float("inf")
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        grad = 2.0 * (quad @ momentum - qp.lin)
-        q_next = project_simplex(momentum - step * grad)
-        if (momentum - q_next) @ (q_next - q) > 0.0:
-            t = 1.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        momentum = q_next + ((t - 1.0) / t_next) * (q_next - q)
-        q = q_next
-        t = t_next
-        residual = kkt_residual(q, 2.0 * (quad @ q - qp.lin))
-        if residual <= tol:
-            break
-    return QPSolution(q, qp.objective(q), residual, iterations, residual <= tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,46 +200,75 @@ def block_trace(matrix: np.ndarray, block_dim: int) -> np.ndarray:
     return np.einsum("imjm->ij", blocks)
 
 
-def _moment_tables(model: SignalModel) -> tuple[np.ndarray, np.ndarray, float]:
+def _moment_tables(model: SignalModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node gradient-noise power ``mu^2 sigma_v^2 tr(R_u)`` and the
+    block-traced parameter second moment."""
     mu = model.uniform_step_size()
-    reg_trace = np.einsum("nii->n", model.reg_cov)
-    noise_term = (mu**2) * model.noise_var * reg_trace
-    second_moment = block_trace(model.parameter_second_moment, model.dim)
-    return noise_term, second_moment, mu
+    noise_term = (mu**2) * model.noise_var * np.einsum("nii->n", model.reg_cov)
+    return noise_term, block_trace(model.parameter_second_moment, model.dim)
 
 
-def build_local_qp(node: int, model: SignalModel, topology: ClusteredTopology) -> SimplexQP:
-    """Local cooperation-weight program for one node from exact moments.
+def solve_local_columns(
+    topology: ClusteredTopology, gram: np.ndarray, power: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exactly solve every node's local weight program for a batch.
 
-    Coordinates follow the node's inter-cluster support (self included).
-    The quadratic term is the gradient-noise diagonal plus the Gram
-    matrix of candidate parameter traces; the linear term aligns the
-    column with the node's own parameter.
+    On node k's inter-cluster support S (self included), minimize
+    ``q' (gram[S, S] + diag(power[S, k])) q - 2 gram[S, k]' q`` over the
+    simplex; ``gram`` and ``power`` are ``(B, N, N)``. One
+    ``solve_simplex_qp_batch`` call per support size; a singleton support
+    gets weight 1. Returns the columns ``(B, N, N)`` and ``ok`` ``(B, N)``.
+    Raises ``ValueError`` for a support above ``MAX_FACE_SUPPORT`` nodes.
     """
-    support = topology.inter_plus[node]
-    noise_term, second_moment, _ = _moment_tables(model)
-    idx = list(support)
-    quad = np.diag(noise_term[idx]) + second_moment[np.ix_(idx, idx)]
-    lin = second_moment[idx, node]
-    return SimplexQP(quad=quad, lin=lin, support=support)
+    nodes, supports = topology.inter_plus_groups[-1]
+    if supports.shape[1] > MAX_FACE_SUPPORT:
+        raise ValueError(
+            f"node {nodes[0]} has {supports.shape[1]} nodes in its inter-cluster support; "
+            f"the exact local weight solver takes at most {MAX_FACE_SUPPORT}"
+        )
+    batch, n = gram.shape[:2]
+    columns = np.zeros((batch, n, n))
+    ok = np.ones((batch, n), dtype=bool)
+    for nodes, supports in topology.inter_plus_groups:
+        size = supports.shape[1]
+        if size == 1:
+            columns[:, nodes, nodes] = 1.0
+            continue
+        quad = gram[:, supports[:, :, None], supports[:, None, :]]
+        idx = np.arange(size)
+        quad[..., idx, idx] += power[:, supports, nodes[:, None]]
+        lin = gram[:, supports, nodes[:, None]]
+        column, solved = solve_simplex_qp_batch(quad.reshape(-1, size, size), lin.reshape(-1, size))
+        columns[:, supports, nodes[:, None]] = column.reshape(batch, nodes.size, size)
+        ok[:, nodes] = solved.reshape(batch, nodes.size)
+    return columns, ok
 
 
 def solve_p2_all_nodes(
-    model: SignalModel,
-    topology: ClusteredTopology,
-    tol: float = 1e-8,
-    max_iters: int = 10_000,
+    model: SignalModel, topology: ClusteredTopology
 ) -> tuple[np.ndarray, list[QPSolution]]:
-    """Solve the local program at every node and assemble the cooperation
-    matrix column by column. Requires a uniform step size."""
+    """Solve every node's local program from the exact moments, certifying
+    each by the KKT residual of its exact point. Requires a uniform step
+    size. Supports above ``MAX_FACE_SUPPORT`` nodes go to P1 with identity
+    coupling, which decouples into the same programs, with P1's certificate.
+    """
     n = topology.n_nodes
-    coop = np.zeros((n, n))
+    if topology.inter_plus_groups[-1][1].shape[1] > MAX_FACE_SUPPORT:
+        coop, solution = solve_p1(model, topology, np.eye(n))
+        return coop, [solution]
+    noise_term, second_moment = _moment_tables(model)
+    power = np.broadcast_to(noise_term[None, :, None], (1, n, n))
+    columns, ok = solve_local_columns(topology, second_moment[None], power)
+    coop = columns[0]
+    # every column's gradient and objective at once: coop is zero off the supports
+    half_grad = (np.diag(noise_term) + second_moment) @ coop - second_moment
+    objective = np.einsum("lk,lk->k", coop, half_grad - second_moment)
     solutions = []
-    for k in range(n):
-        qp = build_local_qp(k, model, topology)
-        sol = solve_simplex_qp(qp, tol=tol, max_iters=max_iters)
-        coop[list(qp.support), k] = sol.weights
-        solutions.append(sol)
+    for k, support in enumerate(topology.inter_plus):
+        q, grad = coop[list(support), k], 2.0 * half_grad[list(support), k]
+        residual = kkt_residual(q, grad)
+        certified = bool(ok[0, k]) and residual <= KKT_TOL
+        solutions.append(QPSolution(q, float(objective[k]), residual, 0, certified))
     return coop, solutions
 
 
@@ -332,7 +300,7 @@ class CentralizedQP:
 def build_centralized_qp(
     model: SignalModel, topology: ClusteredTopology, combine: np.ndarray
 ) -> CentralizedQP:
-    noise_term, second_moment, _ = _moment_tables(model)
+    noise_term, second_moment = _moment_tables(model)
     coupling = combine @ combine.T
     curvature = np.diag(noise_term) + second_moment
     return CentralizedQP(
@@ -347,7 +315,7 @@ def solve_p1(
     model: SignalModel,
     topology: ClusteredTopology,
     combine: np.ndarray,
-    tol: float = 1e-8,
+    tol: float = KKT_TOL,
     max_iters: int = 100_000,
 ) -> tuple[np.ndarray, QPSolution]:
     """Solve the centralized program by accelerated projected gradient.

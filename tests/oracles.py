@@ -435,6 +435,34 @@ def solve_simplex_qp_batch_loop(
     return best_q, ok
 
 
+def local_program(
+    node: int, model: SignalModel, topology: ClusteredTopology
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Node ``node``'s local weight program from the exact moments, entry
+    by entry: ``(support, quad, lin)`` with the objective
+    ``q' quad q - 2 lin' q`` over the simplex on the inter-cluster
+    support (self included).
+
+    The quadratic term is the gradient-noise power ``mu^2 sigma_v^2
+    tr(R_u)`` on the diagonal plus the traces of the parameter
+    second-moment blocks; the linear term pairs each candidate with the
+    node's own parameter.
+    """
+    support = topology.inter_plus[node]
+    mu = model.uniform_step_size()
+    dim = model.dim
+    second = model.parameter_second_moment
+
+    def trace_of_block(a, b):
+        return sum(second[a * dim + m, b * dim + m] for m in range(dim))
+
+    quad = np.array([[trace_of_block(a, b) for b in support] for a in support])
+    for i, a in enumerate(support):
+        quad[i, i] += mu**2 * model.noise_var[a] * np.trace(model.reg_cov[a])
+    lin = np.array([trace_of_block(a, node) for a in support])
+    return support, quad, lin
+
+
 def solve_learned_columns_loop(
     state: StrategyState,
     psi: np.ndarray,

@@ -22,6 +22,7 @@ from oracles import (
     grid_min_quadratic,
     grid_nearest_simplex_point,
     lifted_transition_bruteforce,
+    local_program,
     random_cooperation,
     variance_transition,
 )
@@ -265,10 +266,11 @@ class TestAcceptance:
 
         worst_qp = 0.0
         for node, solution in enumerate(solutions):
-            qp = weight_opt.build_local_qp(node, model, topology)
-            assert len(qp.support) <= 3
-            _, grid_value = grid_min_quadratic(qp.quad, qp.lin, resolution=1e-3)
-            solved = qp.objective(solution.weights)
+            support, quad, lin = local_program(node, model, topology)
+            assert len(support) <= 3
+            _, grid_value = grid_min_quadratic(quad, lin, resolution=1e-3)
+            q = solution.weights
+            solved = float(q @ quad @ q - 2.0 * lin @ q)
             assert solved <= grid_value + 1e-9
             worst_qp = max(worst_qp, abs(solved - grid_value))
             assert abs(solved - grid_value) <= 2e-3

@@ -8,12 +8,53 @@ from dataclasses import replace
 import pytest
 
 from maicnet import cli, presets
+from maicnet.harness import Scenario, SegmentSpec
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_scenario(path, cluster_of, edges, dim, strategies):
+    """A one-segment scenario file on a user topology with clusters 0..P-1."""
+    n = len(cluster_of)
+    clusters = max(cluster_of) + 1
+    gamma = tuple(tuple(1.0 if p == q else 0.5 for q in range(clusters)) for p in range(clusters))
+    Scenario(
+        name=path.stem,
+        n_nodes=n,
+        edges=tuple(edges),
+        cluster_of=tuple(cluster_of),
+        dim=dim,
+        reg_power=tuple(1.0 + 0.02 * k for k in range(n)),
+        sigma_w=(1.0,) * clusters,
+        spread_scale=0.05**2,
+        step_size=0.02,
+        eta=10.0,
+        alpha=0.9,
+        segments=(
+            SegmentSpec(
+                start=0,
+                cluster_means=tuple((1.0 + 0.2 * p,) * dim for p in range(clusters)),
+                gamma=gamma,
+            ),
+        ),
+        iterations=20,
+        runs=2,
+        master_seed=5,
+        strategies=tuple(strategies),
+        noise_var=tuple(0.01 + 0.001 * k for k in range(n)),
+    ).to_json(path)
+    return path
+
+
+def star_scenario(path, strategies):
+    """Hub 0 borders all 11 leaves, which form a chain in cluster 1: the
+    hub's inter-cluster support has 12 nodes."""
+    edges = [(0, j) for j in range(1, 12)] + [(j, j + 1) for j in range(1, 11)]
+    return write_scenario(path, (0,) + (1,) * 11, edges, 2, strategies)
 
 
 class TestTopologyInspect:
@@ -93,6 +134,19 @@ class TestTheoryCommand:
         )
         assert code == 2
         assert "fixed cooperation weights" in err
+
+    def test_reports_above_the_old_size_cap(self, capsys, tmp_path):
+        # 24 nodes in 4 ring clusters, ring neighbors linked across clusters;
+        # dim 3 gives NM = 72
+        cluster_of = [k // 6 for k in range(24)]
+        edges = [(6 * p + i, 6 * p + (i + 1) % 6) for p in range(4) for i in range(6)]
+        edges += [(6 * p + 5, (6 * p + 6) % 24) for p in range(4)]
+        spec = write_scenario(tmp_path / "n24d3.json", cluster_of, edges, 3, ("atc",))
+        code, out, err = run_cli(capsys, "theory", "--scenario", str(spec))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert len(payload["segments"]) == 1
+        assert payload["segments"][0]["msd_db"] < 0
 
     def test_unknown_preset_fails_cleanly(self, capsys):
         code, _, err = run_cli(capsys, "theory", "--scenario", "zz")
@@ -234,6 +288,27 @@ class TestSimulate:
         assert code == 1
         assert "error:" in err
 
+    def test_adaptive_rule_on_a_large_support_fails_cleanly(self, capsys, tmp_path):
+        spec = star_scenario(tmp_path / "star.json", ("atc",))
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(spec), "--strategies", "maic-adaptive",
+            "--out", str(tmp_path / "sim"),
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: node 0 has 12 nodes in its inter-cluster support")
+
+    def test_p2_on_a_large_support_falls_back(self, capsys, tmp_path):
+        spec = star_scenario(tmp_path / "star.json", ("atc",))
+        out_dir = tmp_path / "sim"
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(spec), "--strategies", "atc,maic-p2",
+            "--out", str(out_dir),
+        )
+        assert code == 0, err
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["strategies"]["maic-p2"]["certificates"][0]["certified"] is True
 
     def test_all_diverged_runs_write_strict_json_and_fail(self, capsys, tmp_path):
         scenario = replace(

@@ -536,7 +536,8 @@ class TestCallTimeLookups:
             "maic_adaptive_step": iterations,
             "solve_p1": 1,
             "solve_p2_all_nodes": 1,
-            "solve_simplex_qp_batch": groups * iterations,
+            # P2 at compile time, then the adaptive step at every iteration
+            "solve_simplex_qp_batch": groups * (iterations + 1),
             "analyze": fixed,
             "cooperation_from_regularizer": 1,
         }

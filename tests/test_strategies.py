@@ -20,6 +20,7 @@ from maicnet.topology import (
     averaging_rule_weights,
     metropolis_weights,
 )
+from maicnet import weight_opt
 from maicnet.weight_opt import solve_simplex_qp_batch
 from oracles import (
     atc_step,
@@ -369,7 +370,8 @@ class TestGroupedColumns:
         weights[failed] = np.nan
         return weights, ok & ~failed
 
-    def _compare(self, batch, qp_solver, steps=4):
+    def _compare(self, monkeypatch, batch, qp_solver, steps=4):
+        monkeypatch.setattr(weight_opt, "solve_simplex_qp_batch", qp_solver)
         top = self._topology()
         assert [s.shape[1] for _, s in top.inter_plus_groups] == [1, 2, 3, 4]
         rng = np.random.default_rng(31)
@@ -380,7 +382,7 @@ class TestGroupedColumns:
             psi = rng.standard_normal(batch + (8, 3))
             grouped.weights = weights
             looped.weights = weights.copy()
-            learned = _solve_learned_columns(grouped, psi, top, 0.7, qp_solver)
+            learned = _solve_learned_columns(grouped, psi, top, 0.7)
             expected = solve_learned_columns_loop(looped, psi, top, 0.7, qp_solver)
             assert np.array_equal(learned, expected)
             assert np.array_equal(grouped.increment_power, looped.increment_power)
@@ -388,13 +390,15 @@ class TestGroupedColumns:
         return top, weights, learned, grouped
 
     @pytest.mark.parametrize("batch", [(), (3,)])
-    def test_matches_the_per_node_loop(self, batch):
-        _, _, _, state = self._compare(batch, solve_simplex_qp_batch)
+    def test_matches_the_per_node_loop(self, monkeypatch, batch):
+        _, _, _, state = self._compare(monkeypatch, batch, solve_simplex_qp_batch)
         assert state.fallback_count == 0
 
     @pytest.mark.parametrize("batch", [(), (3,)])
-    def test_failed_instances_keep_the_own_node(self, batch):
-        top, weights, learned, state = self._compare(batch, self._failing_solver, steps=1)
+    def test_failed_instances_keep_the_own_node(self, monkeypatch, batch):
+        top, weights, learned, state = self._compare(
+            monkeypatch, batch, self._failing_solver, steps=1
+        )
         flat_w = weights.reshape(-1, 8, 3)
         learned = learned.reshape(-1, 8, 8)
         failures = 0

@@ -12,24 +12,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from maicnet.signal_model import SignalModel
+from maicnet.topology import ClusteredTopology
 from maicnet.weight_opt import (
     EPS_RIDGE,
-    CentralizedQP,
-    SimplexQP,
+    MAX_FACE_SUPPORT,
     block_trace,
     build_centralized_qp,
-    build_local_qp,
     kkt_residual,
     project_simplex,
+    solve_local_columns,
     solve_p1,
     solve_p2_all_nodes,
-    solve_simplex_qp,
     solve_simplex_qp_batch,
 )
 from oracles import (
     centralized_objective_expanded,
     grid_min_quadratic,
     grid_nearest_simplex_point,
+    local_program,
     project_columns_loop,
     solve_simplex_qp_batch_loop,
 )
@@ -92,11 +93,34 @@ def qp_batches(draw):
     return quad, lin, ridge
 
 
-def random_qp(rng: np.random.Generator, n: int) -> SimplexQP:
+def random_qp(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     root = rng.standard_normal((n, n))
-    quad = root @ root.T + 0.05 * np.eye(n)
-    lin = rng.standard_normal(n)
-    return SimplexQP(quad=quad, lin=lin, support=tuple(range(n)))
+    return root @ root.T + 0.05 * np.eye(n), rng.standard_normal(n)
+
+
+def objective(quad: np.ndarray, lin: np.ndarray, q: np.ndarray) -> float:
+    return float(q @ quad @ q - 2.0 * lin @ q)
+
+
+def star(leaves: int) -> ClusteredTopology:
+    """A hub in cluster 0 bordering every leaf; the leaves form a chain in cluster 1."""
+    edges = [(0, j) for j in range(1, leaves + 1)] + [(j, j + 1) for j in range(1, leaves)]
+    return ClusteredTopology.from_edges(leaves + 1, edges, (0,) + (1,) * leaves)
+
+
+def star_model(topology: ClusteredTopology) -> SignalModel:
+    n = topology.n_nodes
+    return SignalModel.from_profiles(
+        topology,
+        dim=1,
+        reg_power=np.linspace(0.8, 1.3, n),
+        noise_var=np.linspace(0.01, 0.03, n),
+        step_size=0.1,
+        cluster_means=((1.0,), (1.4,)),
+        sigma_w=(1.0, 0.8),
+        spread_scale=0.05**2,
+        gamma=((1.0, 0.6), (0.6, 1.0)),
+    )
 
 
 class TestProjection:
@@ -169,74 +193,49 @@ class TestProjection:
             assert grid_val - own <= 1e-3
 
 
-class TestSimplexQP:
-    def test_rejects_asymmetric_quadratic(self):
-        with pytest.raises(ValueError):
-            SimplexQP(
-                quad=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                lin=np.zeros(2),
-                support=(0, 1),
-            )
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            SimplexQP(quad=np.eye(3), lin=np.zeros(2), support=(0, 1))
-
-    def test_objective_and_gradient_are_consistent(self):
-        qp = random_qp(np.random.default_rng(0), 4)
-        q = np.full(4, 0.25)
-        eps = 1e-6
-        grad = qp.gradient(q)
-        for i in range(4):
-            bump = np.zeros(4)
-            bump[i] = eps
-            numeric = (qp.objective(q + bump) - qp.objective(q - bump)) / (2 * eps)
-            assert np.isclose(grad[i], numeric, rtol=1e-5, atol=1e-7)
-
-
 class TestSolver:
-    def test_singleton_support_fast_path(self):
-        qp = SimplexQP(quad=np.array([[3.0]]), lin=np.array([1.0]), support=(2,))
-        sol = solve_simplex_qp(qp)
-        assert sol.weights.tolist() == [1.0]
-        assert sol.certified and sol.kkt_residual == 0.0
+    def test_singleton_support_fast_path(self, two_cluster_line):
+        # nodes 0 and 3 have no inter-cluster neighbor: weight 1 whatever the data
+        roots = np.random.default_rng(3).standard_normal((2, 4, 4))
+        gram = roots @ roots.transpose(0, 2, 1)
+        columns, ok = solve_local_columns(two_cluster_line, gram, np.ones((2, 4, 4)))
+        assert ok.all()
+        for k in (0, 3):
+            assert np.array_equal(columns[:, :, k], np.tile(np.eye(4)[k], (2, 1)))
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_matches_exhaustive_grid(self, n, seed):
-        qp = random_qp(np.random.default_rng(seed), n)
-        sol = solve_simplex_qp(qp)
-        _, grid_val = grid_min_quadratic(qp.quad, qp.lin, resolution=1e-3)
-        assert sol.certified
-        assert sol.objective <= grid_val + 1e-9
-        assert grid_val - sol.objective <= 2e-3
+        quad, lin = random_qp(np.random.default_rng(seed), n)
+        weights, ok = solve_simplex_qp_batch(quad[None], lin[None])
+        solved = objective(quad, lin, weights[0])
+        _, grid_val = grid_min_quadratic(quad, lin, resolution=1e-3)
+        assert ok.all()
+        assert solved <= grid_val + 1e-9
+        assert grid_val - solved <= 2e-3
 
     def test_certificate_flags_the_optimum(self):
-        qp = random_qp(np.random.default_rng(9), 4)
-        sol = solve_simplex_qp(qp, tol=1e-10)
-        assert sol.kkt_residual <= 1e-10
+        quad, lin = random_qp(np.random.default_rng(9), 4)
+        weights, _ = solve_simplex_qp_batch(quad[None], lin[None])
+        q = weights[0]
+        assert kkt_residual(q, 2.0 * (quad @ q - lin)) <= 1e-10
         corner = np.zeros(4)
         corner[0] = 1.0
-        if not np.allclose(corner, sol.weights):
-            assert kkt_residual(corner, qp.gradient(corner)) > 1e-6
+        if not np.allclose(corner, q):
+            assert kkt_residual(corner, 2.0 * (quad @ corner - lin)) > 1e-6
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_batch_agrees_with_iterative_solver(self, n):
+    def test_batch_minimizers_satisfy_kkt(self, n):
+        # the KKT conditions are sufficient for a convex QP
         rng = np.random.default_rng(100 + n)
         batch = 16
-        quads = np.empty((batch, n, n))
+        roots = rng.standard_normal((batch, n, n))
+        quads = roots @ roots.transpose(0, 2, 1) + 0.05 * np.eye(n)
         lins = rng.standard_normal((batch, n))
-        for b in range(batch):
-            root = rng.standard_normal((n, n))
-            quads[b] = root @ root.T + 0.05 * np.eye(n)
         best, ok = solve_simplex_qp_batch(quads, lins)
         assert ok.all()
-        for b in range(batch):
-            qp = SimplexQP(quad=quads[b], lin=lins[b], support=tuple(range(n)))
-            reference = solve_simplex_qp(qp, tol=1e-11, max_iters=50_000)
-            batch_obj = qp.objective(best[b])
-            assert batch_obj <= reference.objective + 1e-8
-            assert abs(batch_obj - reference.objective) <= 1e-7
+        for quad, lin, q in zip(quads, lins, best):
+            assert kkt_residual(q, 2.0 * (quad @ q - lin)) <= 1e-9
 
     @given(qp_batches())
     @example(  # duplicated coordinates: every face containing both ties
@@ -319,8 +318,8 @@ class TestBlockTrace:
 
 class TestLocalProgram:
     def test_quadratic_assembled_from_moments(self, two_cluster_line, line_model):
-        qp = build_local_qp(1, line_model, two_cluster_line)
-        idx = list(qp.support)
+        support, quad, lin = local_program(1, line_model, two_cluster_line)
+        idx = list(support)
         assert sorted(idx) == [1, 2]
         second = line_model.parameter_second_moment
         # mu^2 sigma_v^2 tr(R_u) per node, only nodes 1 and 2 can appear
@@ -331,12 +330,12 @@ class TestLocalProgram:
                 for a in idx
             ]
         )
-        assert np.allclose(qp.quad, expected_quad, atol=1e-15)
-        assert np.allclose(qp.lin, second[idx, 1], atol=1e-15)
+        assert np.allclose(quad, expected_quad, atol=1e-15)
+        assert np.allclose(lin, second[idx, 1], atol=1e-15)
 
     def test_p2_columns_live_on_the_support(self, two_cluster_line, line_model):
         coop, solutions = solve_p2_all_nodes(line_model, two_cluster_line)
-        assert all(sol.certified for sol in solutions)
+        assert all(sol.certified and sol.iterations == 0 for sol in solutions)
         mask = two_cluster_line.inter_plus_mask()
         assert np.all(coop[~mask] == 0.0)
         assert np.allclose(coop.sum(axis=0), 1.0, atol=1e-9)
@@ -345,10 +344,33 @@ class TestLocalProgram:
     def test_p2_matches_grid_on_every_node(self, two_cluster_line, line_model):
         coop, solutions = solve_p2_all_nodes(line_model, two_cluster_line)
         for k, sol in enumerate(solutions):
-            qp = build_local_qp(k, line_model, two_cluster_line)
-            _, grid_val = grid_min_quadratic(qp.quad, qp.lin, resolution=1e-3)
+            support, quad, lin = local_program(k, line_model, two_cluster_line)
+            assert np.array_equal(sol.weights, coop[list(support), k])
+            assert np.isclose(sol.objective, objective(quad, lin, sol.weights), rtol=1e-12)
+            _, grid_val = grid_min_quadratic(quad, lin, resolution=1e-3)
             assert sol.objective <= grid_val + 1e-12
             assert grid_val - sol.objective <= 2e-3
+
+    def test_supports_above_the_cap_are_refused(self):
+        topology = star(MAX_FACE_SUPPORT)
+        gram = np.ones((1, MAX_FACE_SUPPORT + 1, MAX_FACE_SUPPORT + 1))
+        with pytest.raises(ValueError, match=f"node 0 has {MAX_FACE_SUPPORT + 1} nodes"):
+            solve_local_columns(topology, gram, gram)
+
+    def test_p2_above_the_cap_falls_back_to_masked_gradient(self):
+        # the hub's support has 12 nodes; its program is ill-conditioned, so
+        # the fallback is checked on objective value, not on weights
+        topology = star(11)
+        model = star_model(topology)
+        coop, solutions = solve_p2_all_nodes(model, topology)
+        assert len(solutions) == 1 and solutions[0].certified
+        for k in range(topology.n_nodes):
+            support, quad, lin = local_program(k, model, topology)
+            face_by_face, ok = solve_simplex_qp_batch_loop(quad[None], lin[None])
+            assert ok.all()
+            best = objective(quad, lin, face_by_face[0])
+            solved = objective(quad, lin, coop[list(support), k])
+            assert abs(solved - best) <= 1e-9 * max(1.0, abs(best))
 
 
 class TestCentralizedProgram:
@@ -403,7 +425,7 @@ class TestCentralizedProgram:
         coop_p1, _ = solve_p1(
             model, two_cluster_line, np.eye(4), tol=1e-11, max_iters=200_000
         )
-        coop_p2, _ = solve_p2_all_nodes(model, two_cluster_line, tol=1e-11)
+        coop_p2, _ = solve_p2_all_nodes(model, two_cluster_line)
         assert np.allclose(coop_p1, coop_p2, atol=1e-5)
 
     def test_p1_matches_the_column_loop_on_preset_a(self, monkeypatch):
