@@ -28,21 +28,14 @@ def _load_scenario(spec: str, **overrides) -> harness.Scenario:
     return replace(harness.Scenario.from_json(spec), **overrides)
 
 
+# command-line flag -> the scenario field or preset knob it overrides
+_OVERRIDES = {"runs": "runs", "iters": "iterations", "seed": "master_seed",
+              "strategies": "strategies", "gamma12": "gamma12", "delta": "delta"}
+
+
 def _scenario_overrides(args) -> dict:
-    overrides = {}
-    if getattr(args, "runs", None) is not None:
-        overrides["runs"] = args.runs
-    if getattr(args, "iters", None) is not None:
-        overrides["iterations"] = args.iters
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    if getattr(args, "strategies", None):
-        overrides["strategies"] = tuple(s.strip() for s in args.strategies.split(","))
-    if getattr(args, "gamma12", None) is not None:
-        overrides["gamma12"] = args.gamma12
-    if getattr(args, "delta", None) is not None:
-        overrides["delta"] = args.delta
-    return overrides
+    return {name: getattr(args, flag) for flag, name in _OVERRIDES.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _cmd_topology_inspect(args) -> int:
@@ -85,7 +78,7 @@ def _cmd_theory(args) -> int:
     scenario = _load_scenario(args.scenario, **overrides)
     if args.strategy not in harness.FIXED_WEIGHT_STRATEGIES:
         print(
-            f"no closed-form report for strategy {args.strategy!r}; "
+            f"error: no closed-form report for strategy {args.strategy!r}; "
             "pick one with fixed cooperation weights",
             file=sys.stderr,
         )
@@ -200,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--runs", type=int, default=None)
     sim.add_argument("--iters", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--strategies", default=None, help="comma-separated list")
+    sim.add_argument("--strategies", default=None, help="comma-separated list",
+                     type=lambda text: tuple(s.strip() for s in text.split(",")))
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--gamma12", type=float, default=None)
     sim.add_argument("--delta", type=float, default=None)

@@ -18,8 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -61,13 +63,47 @@ def to_db(x):
     return 10.0 * np.log10(x)
 
 
-def _require_fields(data, kind, what: str) -> None:
-    """Raise ValueError naming every field ``kind`` needs that ``data`` lacks."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    missing = [f.name for f in fields(kind) if f.default is MISSING and f.name not in data]
-    if missing:
-        raise ValueError(f"{what} is missing required field(s): {', '.join(missing)}")
+def _parse(value, kind, what: str):
+    """``value``, decoded from JSON, as an instance of the annotation ``kind``.
+
+    Dataclasses are read field by field from an object with no unknown
+    keys, tuples from lists, and ``int``, ``float`` and ``str`` only from
+    values of that JSON type (an int also serves as a float). Raises
+    ``ValueError`` naming ``what`` at the first value that does not fit.
+    """
+    if isinstance(kind, types.UnionType):  # "X | None"
+        inner, _ = typing.get_args(kind)
+        return None if value is None else _parse(value, inner, what)
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+        missing = [f.name for f in fields(kind) if f.default is MISSING and f.name not in value]
+        if missing:
+            raise ValueError(f"{what} is missing required field(s): {', '.join(missing)}")
+        unknown = sorted(set(value) - {f.name for f in fields(kind)})
+        if unknown:
+            raise ValueError(f"{what} has unknown field(s): {', '.join(unknown)}")
+        hints = typing.get_type_hints(kind)
+        return kind(**{key: _parse(item, hints[key], f"{what} {key}") for key, item in value.items()})
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+        kinds = typing.get_args(kind)
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        elif len(value) != len(kinds):
+            raise ValueError(f"{what} must have {len(kinds)} entries, got {len(value)}")
+        return tuple(
+            _parse(item, k, f"{k.noun} {i}" if is_dataclass(k) else f"{what}[{i}]")
+            for i, (item, k) in enumerate(zip(value, kinds))
+        )
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
+    try:
+        return kind(value)
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"{what} is out of range for type {kind.__name__}") from None
 
 
 def _finite_or_none(value):
@@ -85,6 +121,7 @@ def _finite_or_none(value):
 class SegmentSpec:
     """One stationary stretch of the parameter process."""
 
+    noun: typing.ClassVar[str] = "segment"  # scenario errors name the i-th "segment i"
     start: int
     cluster_means: tuple[tuple[float, ...], ...]
     gamma: tuple[tuple[float, ...], ...]
@@ -127,6 +164,19 @@ class Scenario:
             raise ValueError("segment starts must increase and stay inside the horizon")
         if (self.noise_var is None) == (self.noise_db_range is None):
             raise ValueError("give exactly one of noise_var and noise_db_range")
+        if self.noise_db_range is not None and self.noise_db_range[0] > self.noise_db_range[1]:
+            raise ValueError("noise_db_range must run from low to high")
+        n, p = self.n_nodes, max(self.cluster_of, default=-1) + 1
+        lengths = {"cluster_of": n, "reg_power": n, "noise_var": n, "sigma_w": p}
+        for key, expected in lengths.items():
+            values = getattr(self, key)
+            if values is not None and len(values) != expected:
+                raise ValueError(f"{key} has {len(values)} entries, expected {expected}")
+        for i, segment in enumerate(self.segments):
+            for key, width in (("cluster_means", self.dim), ("gamma", p)):
+                rows = getattr(segment, key)
+                if len(rows) != p or any(len(row) != width for row in rows):
+                    raise ValueError(f"segment {i} {key} must be {p} x {width}, one row per cluster")
 
     @property
     def boundaries(self) -> tuple[int, ...]:
@@ -137,44 +187,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        _require_fields(data, cls, "scenario")
-        for index, segment in enumerate(data["segments"]):
-            _require_fields(segment, SegmentSpec, f"segment {index}")
-        segments = tuple(
-            SegmentSpec(
-                start=int(s["start"]),
-                cluster_means=tuple(tuple(float(x) for x in m) for m in s["cluster_means"]),
-                gamma=tuple(tuple(float(x) for x in g) for g in s["gamma"]),
-            )
-            for s in data["segments"]
-        )
-        return cls(
-            name=str(data["name"]),
-            n_nodes=int(data["n_nodes"]),
-            edges=tuple((int(a), int(b)) for a, b in data["edges"]),
-            cluster_of=tuple(int(c) for c in data["cluster_of"]),
-            dim=int(data["dim"]),
-            reg_power=tuple(float(x) for x in data["reg_power"]),
-            noise_var=(
-                None if data.get("noise_var") is None
-                else tuple(float(x) for x in data["noise_var"])
-            ),
-            noise_db_range=(
-                None if data.get("noise_db_range") is None
-                else (float(data["noise_db_range"][0]), float(data["noise_db_range"][1]))
-            ),
-            profile_seed=int(data.get("profile_seed", 0)),
-            sigma_w=tuple(float(x) for x in data["sigma_w"]),
-            spread_scale=float(data["spread_scale"]),
-            step_size=float(data["step_size"]),
-            eta=float(data["eta"]),
-            alpha=float(data["alpha"]),
-            segments=segments,
-            iterations=int(data["iterations"]),
-            runs=int(data["runs"]),
-            master_seed=int(data["master_seed"]),
-            strategies=tuple(str(s) for s in data["strategies"]),
-        )
+        """Parse a decoded scenario JSON, checking every field's type and shape."""
+        return _parse(data, cls, "scenario")
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:

@@ -36,7 +36,7 @@ def _psd_sqrt(matrix: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignalModel:
-    """Node-level second-order description of the observation process.
+    """Second-order description of the observation process.
 
     Fields
     ------
@@ -44,17 +44,17 @@ class SignalModel:
     reg_cov:        (N, M, M) regressor covariances, symmetric positive definite
     noise_var:      (N,) observation noise variances, nonnegative
     step_sizes:     (N,) adaptation step sizes, nonnegative
-    mean_stack:     (N*M,) stacked parameter means
-    cov_stack:      (N*M, N*M) stacked parameter covariance
-    cluster_of:     (N,) cluster labels, consistent with the stacked moments
+    cluster_means:  (P, M) parameter mean of each cluster
+    cluster_cov:    (P*M, P*M) covariance of the stacked cluster parameters
+    cluster_of:     (N,) cluster label of each node; a cluster's nodes share its draw
     """
 
     dim: int
     reg_cov: np.ndarray
     noise_var: np.ndarray
     step_sizes: np.ndarray
-    mean_stack: np.ndarray
-    cov_stack: np.ndarray
+    cluster_means: np.ndarray
+    cluster_cov: np.ndarray
     cluster_of: np.ndarray
     _reg_sqrt: np.ndarray = field(init=False, repr=False)
     _cluster_sqrt: np.ndarray = field(init=False, repr=False)
@@ -64,11 +64,12 @@ class SignalModel:
         reg_cov = np.asarray(self.reg_cov, dtype=float)
         noise_var = np.asarray(self.noise_var, dtype=float)
         step_sizes = np.asarray(self.step_sizes, dtype=float)
-        mean_stack = np.asarray(self.mean_stack, dtype=float)
-        cov_stack = np.asarray(self.cov_stack, dtype=float)
+        cluster_means = np.asarray(self.cluster_means, dtype=float)
+        cluster_cov = np.asarray(self.cluster_cov, dtype=float)
         cluster_of = np.asarray(self.cluster_of, dtype=np.int64)
 
         n = cluster_of.shape[0]
+        p = int(cluster_of.max()) + 1
         if dim < 1:
             raise ValueError("dim must be at least 1")
         if reg_cov.shape != (n, dim, dim):
@@ -77,76 +78,27 @@ class SignalModel:
             raise ValueError("noise_var must be a length-N vector of nonnegative variances")
         if step_sizes.shape != (n,) or step_sizes.min() < 0:
             raise ValueError("step_sizes must be a length-N vector of nonnegative values")
-        if mean_stack.shape != (n * dim,):
-            raise ValueError(f"mean_stack has shape {mean_stack.shape}, expected ({n * dim},)")
-        if cov_stack.shape != (n * dim, n * dim):
-            raise ValueError("cov_stack must be (N*M, N*M)")
-        if not np.allclose(cov_stack, cov_stack.T, atol=1e-12, rtol=0.0):
-            raise ValueError("cov_stack must be symmetric")
+        if cluster_means.shape != (p, dim):
+            raise ValueError(f"cluster_means has shape {cluster_means.shape}, expected {(p, dim)}")
+        if cluster_cov.shape != (p * dim, p * dim):
+            raise ValueError("cluster_cov must be (P*M, P*M)")
+        if not np.allclose(cluster_cov, cluster_cov.T, atol=1e-12, rtol=0.0):
+            raise ValueError("cluster_cov must be symmetric")
 
         reg_sqrt = np.empty_like(reg_cov)
         for k in range(n):
             if not np.allclose(reg_cov[k], reg_cov[k].T, atol=1e-12, rtol=0.0):
                 raise ValueError(f"regressor covariance of node {k} is not symmetric")
             reg_sqrt[k] = _psd_sqrt(reg_cov[k], f"regressor covariance of node {k}")
-
-        self._check_cluster_consistency(cluster_of, mean_stack, cov_stack, dim)
-        cluster_cov = self._cluster_cov(cluster_of, cov_stack, dim)
         cluster_sqrt = _psd_sqrt(cluster_cov, "cluster parameter covariance")
 
-        for arr in (reg_cov, noise_var, step_sizes, mean_stack, cov_stack, cluster_of):
+        for arr in (reg_cov, noise_var, step_sizes, cluster_means, cluster_cov, cluster_of):
             arr.flags.writeable = False
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "reg_cov", reg_cov)
-        object.__setattr__(self, "noise_var", noise_var)
-        object.__setattr__(self, "step_sizes", step_sizes)
-        object.__setattr__(self, "mean_stack", mean_stack)
-        object.__setattr__(self, "cov_stack", cov_stack)
-        object.__setattr__(self, "cluster_of", cluster_of)
-        object.__setattr__(self, "_reg_sqrt", reg_sqrt)
-        object.__setattr__(self, "_cluster_sqrt", cluster_sqrt)
-
-    @staticmethod
-    def _check_cluster_consistency(
-        cluster_of: np.ndarray, mean_stack: np.ndarray, cov_stack: np.ndarray, dim: int
-    ) -> None:
-        # Same-cluster nodes carry one shared random parameter, so their mean
-        # blocks and all covariance blocks touching them must coincide.
-        n = cluster_of.shape[0]
-        reps = {}
-        for k in range(n):
-            reps.setdefault(int(cluster_of[k]), k)
-
-        def block(i: int, j: int) -> np.ndarray:
-            return cov_stack[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim]
-
-        for k in range(n):
-            rep = reps[int(cluster_of[k])]
-            if not np.allclose(
-                mean_stack[k * dim : (k + 1) * dim],
-                mean_stack[rep * dim : (rep + 1) * dim],
-                atol=1e-12,
-                rtol=0.0,
-            ):
-                raise ValueError(f"node {k} mean differs from its cluster representative")
-            for j in range(n):
-                rep_j = reps[int(cluster_of[j])]
-                if not np.allclose(block(k, j), block(rep, rep_j), atol=1e-12, rtol=0.0):
-                    raise ValueError(
-                        f"covariance block ({k}, {j}) is inconsistent with its cluster pair"
-                    )
-
-    @staticmethod
-    def _cluster_cov(cluster_of: np.ndarray, cov_stack: np.ndarray, dim: int) -> np.ndarray:
-        p = int(cluster_of.max()) + 1
-        reps = [int(np.flatnonzero(cluster_of == q)[0]) for q in range(p)]
-        out = np.empty((p * dim, p * dim))
-        for a, i in enumerate(reps):
-            for b, j in enumerate(reps):
-                out[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = cov_stack[
-                    i * dim : (i + 1) * dim, j * dim : (j + 1) * dim
-                ]
-        return out
+        settled = dict(dim=dim, reg_cov=reg_cov, noise_var=noise_var, step_sizes=step_sizes,
+                       cluster_means=cluster_means, cluster_cov=cluster_cov, cluster_of=cluster_of,
+                       _reg_sqrt=reg_sqrt, _cluster_sqrt=cluster_sqrt)
+        for name, value in settled.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
@@ -154,19 +106,24 @@ class SignalModel:
 
     @property
     def n_clusters(self) -> int:
-        return int(self.cluster_of.max()) + 1
+        return self.cluster_means.shape[0]
+
+    @property
+    def mean_stack(self) -> np.ndarray:
+        """(N*M,) node parameter means, stacked: each node repeats its cluster's."""
+        return self.cluster_means[self.cluster_of].reshape(-1)
+
+    @property
+    def cov_stack(self) -> np.ndarray:
+        """(N*M, N*M) stacked node parameter covariance, read off ``cluster_cov``."""
+        index = (self.cluster_of[:, None] * self.dim + np.arange(self.dim)).reshape(-1)
+        return self.cluster_cov[np.ix_(index, index)]
 
     @property
     def parameter_second_moment(self) -> np.ndarray:
         """Stacked (N*M, N*M) second moment: covariance plus mean outer product."""
-        return self.cov_stack + np.outer(self.mean_stack, self.mean_stack)
-
-    def cluster_mean(self) -> np.ndarray:
-        """(P, M) matrix of per-cluster parameter means."""
-        reps = [int(np.flatnonzero(self.cluster_of == q)[0]) for q in range(self.n_clusters)]
-        return np.stack(
-            [self.mean_stack[r * self.dim : (r + 1) * self.dim] for r in reps]
-        )
+        mean = self.mean_stack
+        return self.cov_stack + np.outer(mean, mean)
 
     def uniform_step_size(self) -> float:
         mu = float(self.step_sizes[0])
@@ -200,17 +157,16 @@ class SignalModel:
         reg_power = np.asarray(reg_power, dtype=float)
         reg_cov = np.einsum("n,ij->nij", reg_power, np.eye(dim))
         step_sizes = np.broadcast_to(np.asarray(step_size, dtype=float), (n,)).copy()
-        mean_stack, cov_stack = parameter_moments_from_correlation(
-            topology.cluster_of, dim, np.asarray(cluster_means, dtype=float),
-            np.asarray(sigma_w, dtype=float), spread_scale, np.asarray(gamma, dtype=float),
+        cluster_means, cluster_cov = parameter_moments_from_correlation(
+            topology.cluster_of, dim, cluster_means, sigma_w, spread_scale, gamma
         )
         return cls(
             dim=dim,
             reg_cov=reg_cov,
             noise_var=np.asarray(noise_var, dtype=float),
             step_sizes=step_sizes,
-            mean_stack=mean_stack,
-            cov_stack=cov_stack,
+            cluster_means=cluster_means,
+            cluster_cov=cluster_cov,
             cluster_of=topology.cluster_of,
         )
 
@@ -223,9 +179,10 @@ def parameter_moments_from_correlation(
     spread_scale: float,
     gamma: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked parameter mean and covariance from cluster correlations.
+    """Cluster parameter means (P, M) and covariance (P*M, P*M) from cluster
+    correlations.
 
-    The covariance block between nodes in clusters p and q is
+    The covariance block between clusters p and q is
     ``spread_scale * gamma[p, q] * sigma_w[p] * sigma_w[q] * I``. The
     cluster correlation matrix must be symmetric with unit diagonal and
     positive semidefinite; otherwise the most negative eigenvalue is
@@ -259,12 +216,7 @@ def parameter_moments_from_correlation(
             f"most negative eigenvalue {eigval.min()!r}"
         )
 
-    n = cluster_of.shape[0]
-    mean_stack = np.concatenate([cluster_means[cluster_of[k]] for k in range(n)])
-    membership = np.zeros((n, p))
-    membership[np.arange(n), cluster_of] = 1.0
-    cov_stack = np.kron(membership @ cluster_cov @ membership.T, np.eye(dim))
-    return mean_stack, cov_stack
+    return cluster_means, np.kron(cluster_cov, np.eye(dim))
 
 
 def sample_parameters(model: SignalModel, rng: np.random.Generator) -> np.ndarray:
@@ -275,7 +227,7 @@ def sample_parameters(model: SignalModel, rng: np.random.Generator) -> np.ndarra
     """
     p, dim = model.n_clusters, model.dim
     z = rng.standard_normal(p * dim)
-    cluster_stack = model.cluster_mean().reshape(-1) + model._cluster_sqrt @ z
+    cluster_stack = model.cluster_means.reshape(-1) + model._cluster_sqrt @ z
     return cluster_stack.reshape(p, dim)[model.cluster_of]
 
 

@@ -68,15 +68,23 @@ def gradient_noise_moment(model: SignalModel) -> np.ndarray:
     return _stack_block_diag(model.noise_var[:, None, None] * model.reg_cov)
 
 
-def mean_transition(
+def _lift(
     combine: np.ndarray, cooperation: np.ndarray, model: SignalModel
-) -> np.ndarray:
-    """Stacked mean-error transition matrix of the cooperation recursion."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kron-expanded combine and cooperation matrices and the mean transition."""
     dim = model.dim
     big_combine = kron_expand(combine, dim)
     big_coop = kron_expand(cooperation, dim)
     identity = np.eye(model.n_nodes * dim)
-    return big_combine.T @ big_coop.T @ (identity - step_size_matrix(model) @ regressor_moment(model))
+    transition = big_combine.T @ big_coop.T @ (identity - step_size_matrix(model) @ regressor_moment(model))
+    return big_combine, big_coop, transition
+
+
+def mean_transition(
+    combine: np.ndarray, cooperation: np.ndarray, model: SignalModel
+) -> np.ndarray:
+    """Stacked mean-error transition matrix of the cooperation recursion."""
+    return _lift(combine, cooperation, model)[2]
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -133,10 +141,16 @@ def msd_forcing_terms(
     recursion, written in closed form through the mean transition.
     Requires a mean-stable configuration.
     """
-    dim = model.dim
-    big_combine = kron_expand(combine, dim)
-    big_coop = kron_expand(cooperation, dim)
-    identity = np.eye(model.n_nodes * dim)
+    lift = _lift(combine, cooperation, model)
+    return _forcing_terms(model, lift, spectral_radius(lift[2]))
+
+
+def _forcing_terms(model: SignalModel, lift, rho: float) -> ForcingTerms:
+    """``msd_forcing_terms`` from a ``_lift`` and its transition's spectral radius."""
+    if rho >= 1.0:
+        raise ValueError(f"mean-unstable configuration, spectral radius {rho!r}")
+    big_combine, big_coop, transition = lift
+    identity = np.eye(transition.shape[0])
     mu = step_size_matrix(model)
 
     merged = big_combine.T @ big_coop.T
@@ -144,10 +158,6 @@ def msd_forcing_terms(
     leak = big_combine.T @ (identity - big_coop.T)
     spread_mat = leak @ model.parameter_second_moment @ leak.T
 
-    transition = mean_transition(combine, cooperation, model)
-    rho = spectral_radius(transition)
-    if rho >= 1.0:
-        raise ValueError(f"mean-unstable configuration, spectral radius {rho!r}")
     # geometric series limit of the error/spread coupling, no explicit inverse
     geometric = np.linalg.solve((identity - transition).T, transition.T).T
     cross_mat = spread_mat @ geometric.T
@@ -159,13 +169,8 @@ def msd_forcing_terms(
 
 
 def _cluster_indicators(model: SignalModel) -> list[np.ndarray]:
-    indicators = []
-    for p in range(model.n_clusters):
-        diag = np.zeros(model.n_nodes * model.dim)
-        for k in np.flatnonzero(model.cluster_of == p):
-            diag[k * model.dim : (k + 1) * model.dim] = 1.0
-        indicators.append(np.diag(diag))
-    return indicators
+    stacked_of = np.repeat(model.cluster_of, model.dim)
+    return [np.diag((stacked_of == p).astype(float)) for p in range(model.n_clusters)]
 
 
 def solve_stein(transition: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -207,11 +212,17 @@ def steady_state_msd(
     cluster indicator is one more right-hand side of the same solve, and
     the cluster deviation is ``<F, S_p> / size_p``.
     """
-    transition = mean_transition(combine, cooperation, model)
-    rho_variance = spectral_radius(transition) ** 2
+    lift = _lift(combine, cooperation, model)
+    return _steady_state_msd(model, lift, spectral_radius(lift[2]), per_cluster)
+
+
+def _steady_state_msd(model: SignalModel, lift, rho: float, per_cluster: bool):
+    """``steady_state_msd`` from a ``_lift`` and its transition's spectral radius."""
+    rho_variance = rho**2
     if rho_variance >= 1.0:
         raise ValueError(f"mean-square-unstable configuration, variance radius {rho_variance!r}")
-    terms = msd_forcing_terms(combine, cooperation, model)
+    terms = _forcing_terms(model, lift, rho)
+    transition = lift[2]
 
     rhs = [np.eye(transition.shape[0])]
     if per_cluster:
@@ -281,14 +292,13 @@ def analyze(
 
     ``rho_variance``, the radius of ``S -> B' S B``, is exactly ``rho_mean**2``.
     """
-    rho_mean = spectral_radius(mean_transition(combine, cooperation, model))
+    lift = _lift(combine, cooperation, model)
+    rho_mean = spectral_radius(lift[2])
     bounds, mean_stable = mean_stability_bounds(model)
     stable = rho_mean < 1.0
     msd = msd_approx = cluster_msd = None
     if stable:
-        msd, msd_approx, *split = steady_state_msd(
-            combine, cooperation, model, per_cluster=per_cluster
-        )
+        msd, msd_approx, *split = _steady_state_msd(model, lift, rho_mean, per_cluster)
         cluster_msd = split[0] if per_cluster else None
     return TheoryReport(
         rho_mean=rho_mean,

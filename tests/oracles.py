@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maicnet.signal_model import SignalModel
+from maicnet.signal_model import SignalModel, _psd_sqrt
 from maicnet.strategies import StrategyState, adapt, intra_cluster_combine
 from maicnet.theory import SIZE_CAP, _stack_block_diag, spectral_radius, step_size_matrix
 from maicnet.topology import ClusteredTopology, kron_expand
@@ -100,6 +100,34 @@ def block_diagonal(blocks: np.ndarray) -> np.ndarray:
     for k in range(n):
         out[k * dim : (k + 1) * dim, k * dim : (k + 1) * dim] = blocks[k]
     return out
+
+
+def stacked_parameter_moments(cluster_of, dim, cluster_means, sigma_w, spread_scale, gamma):
+    """Node-stacked parameter mean and covariance, and the square root of the
+    cluster covariance, built the long way round.
+
+    Every node repeats its cluster's mean; the (P, P) covariance is spread
+    to the nodes through the one-hot membership matrix and lifted by a
+    Kronecker product; the cluster covariance is then read back off the
+    blocks of one representative node per cluster.
+    """
+    cluster_of = np.asarray(cluster_of, dtype=np.int64)
+    cluster_means = np.asarray(cluster_means, dtype=float)
+    sigma_w = np.asarray(sigma_w, dtype=float)
+    n, p = cluster_of.shape[0], int(cluster_of.max()) + 1
+    cluster_cov = spread_scale * np.asarray(gamma, dtype=float) * np.outer(sigma_w, sigma_w)
+    mean_stack = np.concatenate([cluster_means[cluster_of[k]] for k in range(n)])
+    membership = np.zeros((n, p))
+    membership[np.arange(n), cluster_of] = 1.0
+    cov_stack = np.kron(membership @ cluster_cov @ membership.T, np.eye(dim))
+    reps = [int(np.flatnonzero(cluster_of == q)[0]) for q in range(p)]
+    collapsed = np.empty((p * dim, p * dim))
+    for a, i in enumerate(reps):
+        for b, j in enumerate(reps):
+            collapsed[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = cov_stack[
+                i * dim : (i + 1) * dim, j * dim : (j + 1) * dim
+            ]
+    return mean_stack, cov_stack, _psd_sqrt(collapsed, "cluster parameter covariance")
 
 
 def mean_transition_reference(combine, cooperation, model) -> np.ndarray:

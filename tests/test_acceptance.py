@@ -219,7 +219,7 @@ class TestAcceptance:
         n, dim = model.n_nodes, model.dim
         coop = random_cooperation(topology, rng)
         z = rng.standard_normal((runs, model.n_clusters * dim))
-        blocks = (model.cluster_mean().reshape(-1) + z @ model._cluster_sqrt.T).reshape(
+        blocks = (model.cluster_means.reshape(-1) + z @ model._cluster_sqrt.T).reshape(
             runs, model.n_clusters, dim
         )
         w_true = blocks[:, model.cluster_of, :]

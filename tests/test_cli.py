@@ -133,7 +133,8 @@ class TestTheoryCommand:
             capsys, "theory", "--scenario", "a", "--strategy", "maic-adaptive"
         )
         assert code == 2
-        assert "fixed cooperation weights" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "fixed cooperation weights" in err
 
     def test_reports_above_the_old_size_cap(self, capsys, tmp_path):
         # 24 nodes in 4 ring clusters, ring neighbors linked across clusters;
@@ -273,6 +274,41 @@ class TestSimulate:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {knob[2:]} only applies to preset")
+
+    @pytest.mark.parametrize(
+        "preset, path, value, message",
+        [
+            ("a", ("edges",), 5, "scenario edges must be a list, got int"),
+            ("a", ("segments", 0, "cluster_means"), 1.0, "segment 0 cluster_means must be a list"),
+            ("b", ("noise_db_range",), [-10.0], "scenario noise_db_range must have 2 entries"),
+            ("a", ("segments",), {"start": 0}, "scenario segments must be a list, got dict"),
+            ("a", ("edges", 0), [0, 1, 2], "scenario edges[0] must have 2 entries, got 3"),
+            ("a", ("strategies",), "atc", "scenario strategies must be a list, got str"),
+            ("a", ("runs",), 2.7, "scenario runs must be of type int, got float"),
+            ("a", ("dim",), 2.5, "scenario dim must be of type int, got float"),
+            ("a", ("iterations",), True, "scenario iterations must be of type int, got bool"),
+            ("a", ("name",), 5, "scenario name must be of type str, got int"),
+            ("a", ("master_seed",), "12", "scenario master_seed must be of type int, got str"),
+            ("a", ("profile_sed",), 3, "scenario has unknown field(s): profile_sed"),
+        ],
+    )
+    def test_malformed_scenario_file_fails_with_one_error_line(
+        self, capsys, tmp_path, preset, path, value, message
+    ):
+        data = json.loads(json.dumps(presets.get_scenario(preset, runs=2, iterations=20).to_dict()))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(spec), "--out", str(tmp_path / "x")
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
 
     def test_invalid_override_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run_cli(

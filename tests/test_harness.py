@@ -77,6 +77,120 @@ class TestScenarioValidation:
             Scenario.from_dict(["a"])
 
 
+def _scenario_json(name):
+    """Preset ``name`` as a scenario file decodes: lists, and floats in float fields."""
+    return json.loads(json.dumps(Scenario.from_dict(presets.get_scenario(name).to_dict()).to_dict()))
+
+
+def _below(value, path=()):
+    """Every (path, item) strictly below a decoded JSON value, depth first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,), item
+        yield from _below(item, path + (key,))
+
+
+def _parent(data, path):
+    for key in path[:-1]:
+        data = data[key]
+    return data
+
+
+# lists whose length the scenario fixes ("#" stands for any index)
+SIZED = {
+    ("cluster_of",), ("reg_power",), ("sigma_w",), ("noise_var",), ("noise_db_range",),
+    ("edges", "#"), ("segments", "#", "cluster_means"), ("segments", "#", "cluster_means", "#"),
+    ("segments", "#", "gamma"), ("segments", "#", "gamma", "#"),
+}
+
+
+class TestMalformedScenarios:
+    @given(
+        name=st.sampled_from(presets.PRESET_NAMES),
+        mutation=st.sampled_from(("drop", "retype", "resize", "nest", "unknown")),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_dicts_raise_value_error(self, name, mutation, data):
+        scenario = _scenario_json(name)
+        below = list(_below(scenario))
+        if mutation == "drop":  # a key whose absence no default covers
+            keys = [p for p, v in below if isinstance(p[-1], str) and v is not None]
+            path = data.draw(st.sampled_from([p for p in keys if p != ("profile_seed",)]))
+            del _parent(scenario, path)[path[-1]]
+        elif mutation == "retype":  # a value of another JSON type
+            path, value = data.draw(st.sampled_from(below))
+            wrong = st.sampled_from([True, 2.5, "x", {}, None]).filter(lambda w: type(w) is not type(value))
+            _parent(scenario, path)[path[-1]] = data.draw(wrong)
+        elif mutation == "resize":  # one entry more or fewer
+            sized = [p for p, v in below if isinstance(v, list)
+                     and tuple("#" if isinstance(k, int) else k for k in p) in SIZED]
+            path = data.draw(st.sampled_from(sized))
+            entries = _parent(scenario, path)[path[-1]]
+            if data.draw(st.booleans()):
+                entries.append(entries[-1])
+            else:
+                entries.pop()
+        elif mutation == "nest":  # one list level more, or one fewer
+            path, value = data.draw(st.sampled_from(below))
+            unwrap = isinstance(value, list) and value and data.draw(st.booleans())
+            _parent(scenario, path)[path[-1]] = value[0] if unwrap else [value]
+        else:  # a key no field declares, on the scenario or on a segment
+            objects = [scenario] + [v for _, v in below if isinstance(v, dict)]
+            target = data.draw(st.sampled_from(objects))
+            target[data.draw(st.sampled_from(["profile_sed", "noun", "Gamma", ""]))] = 0
+        with pytest.raises(ValueError):
+            Scenario.from_dict(scenario)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"reg_power": (1.0,) * 9}, "reg_power has 9 entries, expected 10"),
+            ({"cluster_of": (0,) * 11}, "cluster_of has 11 entries, expected 10"),
+            ({"noise_var": (0.5,) * 3}, "noise_var has 3 entries, expected 10"),
+            ({"sigma_w": (1.0, 1.0)}, "sigma_w has 2 entries, expected 3"),
+        ],
+    )
+    def test_per_node_and_per_cluster_lengths_are_checked(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            replace(small("a"), **change)
+
+    def test_segment_shapes_are_checked_ragged_rows_included(self):
+        scenario = small("a")
+        segment = scenario.segments[0]
+        ragged = (segment.gamma[0], segment.gamma[1][:2], segment.gamma[2])
+        with pytest.raises(ValueError, match=r"segment 0 gamma must be 3 x 3"):
+            replace(scenario, segments=(replace(segment, gamma=ragged),))
+        with pytest.raises(ValueError, match=r"segment 0 cluster_means must be 3 x 2"):
+            replace(scenario, segments=(replace(segment, cluster_means=segment.cluster_means[:2]),))
+
+    def test_noise_db_range_runs_low_to_high(self):
+        with pytest.raises(ValueError, match="low to high"):
+            small("b", noise_db_range=(-5.0, -15.0))
+
+    def test_errors_name_the_nested_field(self):
+        data = _scenario_json("a")
+        data["segments"][0]["gamma"][1] = [0.9, 1.0]
+        with pytest.raises(ValueError, match=r"segment 0 gamma must be 3 x 3"):
+            Scenario.from_dict(data)
+        data["segments"][0]["gamma"][1] = [0.9, "1", 0.5]
+        with pytest.raises(ValueError, match=r"segment 0 gamma\[1\]\[1\] must be of type float, got str"):
+            Scenario.from_dict(data)
+
+    def test_large_seeds_stay_exact_and_huge_floats_are_named(self):
+        data = _scenario_json("a")
+        data["master_seed"] = 2**64 - 1
+        assert Scenario.from_dict(data).master_seed == 2**64 - 1
+        data["step_size"] = 10**400
+        with pytest.raises(ValueError, match="step_size is out of range"):
+            Scenario.from_dict(data)
+
+
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):
         scenario = presets.get_scenario("nonstationary")
