@@ -68,7 +68,8 @@ def _parse(value, kind, what: str):
 
     Dataclasses are read field by field from an object with no unknown
     keys, tuples from lists, and ``int``, ``float`` and ``str`` only from
-    values of that JSON type (an int also serves as a float). Raises
+    values of that JSON type (an int also serves as a float; NaN and
+    infinities are refused). Raises
     ``ValueError`` naming ``what`` at the first value that does not fit.
     """
     if isinstance(kind, types.UnionType):  # "X | None"
@@ -100,6 +101,8 @@ def _parse(value, kind, what: str):
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+        raise ValueError(f"{what} must be finite, got {value}")
     try:
         return kind(value)
     except OverflowError:  # an int too large for a float
@@ -157,6 +160,9 @@ class Scenario:
         unknown = [s for s in self.strategies if s not in KNOWN_STRATEGIES]
         if unknown:
             raise ValueError(f"unknown strategies {unknown}; choose from {KNOWN_STRATEGIES}")
+        repeated = sorted({s for s in self.strategies if self.strategies.count(s) > 1})
+        if repeated:
+            raise ValueError(f"strategies are listed more than once: {repeated}")
         if not self.segments or self.segments[0].start != 0:
             raise ValueError("the first segment must start at iteration 0")
         starts = [s.start for s in self.segments]

@@ -3,10 +3,12 @@
 The local program picks one column of the cooperation matrix per node
 over its inter-cluster support. P2 builds it from the exact moments, the
 adaptive rule from online estimates, and both solve it exactly with
-``solve_local_columns`` (face enumeration, batched by support size). The
-centralized program P1 couples the columns through the combine weights
-and is solved by masked accelerated projected gradient with a KKT
-certificate, which also serves P2 on supports too large to enumerate.
+``solve_local_columns``, batched by support size: in closed form on
+supports of 2 and 3 nodes, by face enumeration on 4 to
+``MAX_FACE_SUPPORT``. The centralized program P1 couples the columns
+through the combine weights and is solved by masked accelerated
+projected gradient with a KKT certificate, which also serves P2 on
+supports too large to enumerate.
 """
 
 from __future__ import annotations
@@ -115,12 +117,11 @@ def solve_simplex_qp_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exactly minimize a batch of small simplex QPs.
 
-    Enumerates every face of the simplex, solves the equality-constrained
-    restriction in closed form, and keeps the best feasible candidate.
-    All faces of one size are solved for the whole batch in one stacked
-    ``np.linalg.solve``. Ties go to the face enumerated first, and a NaN
-    objective never wins. Intended for the per-iteration weight updates
-    where each instance has only a handful of coordinates. Returns the
+    Instances of 2 and 3 coordinates are solved in closed form with
+    elementwise arithmetic only, so no result depends on the rest of the
+    batch. Larger ones enumerate every face of the simplex, solving all
+    faces of one size in one stacked ``np.linalg.solve``; ties go to the
+    face enumerated first, and a NaN objective never wins. Returns the
     minimizers and a boolean mask of instances solved successfully.
 
     Parameters
@@ -130,9 +131,19 @@ def solve_simplex_qp_batch(
     """
     quad = np.asarray(quad, dtype=float)
     lin = np.asarray(lin, dtype=float)
-    batch, n = lin.shape
+    n = lin.shape[1]
     quad = quad + ridge * np.eye(n)
+    best_q, best_obj = _CLOSED_FORMS.get(n, _face_minimum)(quad, lin)
+    best_q[best_obj == np.inf] = 0.0  # no feasible candidate with a usable objective
+    ok = np.isfinite(best_obj)
+    best_q = np.clip(best_q, 0.0, None)
+    sums = best_q.sum(axis=1)
+    np.divide(best_q, sums[:, None], out=best_q, where=(ok & (sums > 0))[:, None])
+    return best_q, ok
 
+
+def _face_minimum(quad: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    batch, n = lin.shape
     # objective and point of every face for every instance, faces in rank order
     objective = np.empty((batch, 2**n - 1))
     points = np.zeros((batch, 2**n - 1, n))
@@ -183,14 +194,73 @@ def solve_simplex_qp_batch(
     choice = np.argmin(objective, axis=1)
     best_obj = objective[rows, choice]
     best_q = points[rows, choice]
-    best_q[best_obj == np.inf] = 0.0  # no feasible face with a usable objective
+    return best_q, best_obj
 
-    ok = np.isfinite(best_obj)
-    best_q = np.clip(best_q, 0.0, None)
-    sums = best_q.sum(axis=1)
-    good = ok & (sums > 0)
-    best_q[good] /= sums[good, None]
-    return best_q, ok
+
+def _edge_minimum(q00, q01, q11, l0, l1) -> tuple[np.ndarray, np.ndarray]:
+    """Weight ``t`` on the first vertex and the objective of the best
+    point of a segment, from the entries of 2 x 2 programs (arrays of one
+    shape). Along the segment the objective is ``c t^2 - 2 s t + f1``; its
+    minimizer ``s / c`` is taken where ``c > 0`` puts it strictly inside,
+    elsewhere the better vertex, the first on a tie. NaN reads as ``inf``.
+    """
+    first = np.fmin(q00 - 2.0 * l0, np.inf)
+    second = np.fmin(q11 - 2.0 * l1, np.inf)
+    # like entries are differenced first: exact for duplicated vertices
+    curvature = (q00 - q01) + (q11 - q01)
+    slope = (q11 - q01) + (l0 - l1)
+    with np.errstate(all="ignore"):  # t is only used where the curvature is positive
+        t = slope / curvature
+    inside = (curvature > 0.0) & (t > 0.0) & (t < 1.0)
+    t = np.where(inside, t, first <= second)
+    return t, np.where(inside, second - slope * t, np.fmin(first, second))
+
+
+def _segment_minimum(quad: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t, obj = _edge_minimum(quad[:, 0, 0], quad[:, 0, 1], quad[:, 1, 1], lin[:, 0], lin[:, 1])
+    return np.stack((t, 1.0 - t), axis=1), obj
+
+
+_EDGES = (np.array([0, 0, 1]), np.array([1, 2, 2]))  # {0, 1}, {0, 2}, {1, 2}
+
+
+def _triangle_minimum(quad: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The interior stationary point where it is a feasible minimum, else
+    the best edge (the first on a tie).
+
+    In ``x = (u, v)`` with ``q = e0 + u (e1 - e0) + v (e2 - e0)`` the
+    objective is ``f0 + 2 g'x + x'Hx``, minimized by ``H x = -g`` with value
+    ``f0 + g'x``. Eliminating on ``h11`` keeps that residual at rounding
+    level even for a nearly singular ``quad`` or ``H``.
+    """
+    q00, q01, q02 = quad[:, 0, 0], quad[:, 0, 1], quad[:, 0, 2]
+    h11 = (q00 - q01) + (quad[:, 1, 1] - q01)
+    h22 = (q00 - q02) + (quad[:, 2, 2] - q02)
+    h12 = (quad[:, 1, 2] - q01) + (q00 - q02)
+    g1 = (q01 - q00) + (lin[:, 0] - lin[:, 1])
+    g2 = (q02 - q00) + (lin[:, 0] - lin[:, 2])
+    with np.errstate(all="ignore"):  # the point is only used where H is definite
+        ratio = h12 / h11
+        schur = h22 - h12 * ratio
+        v = (ratio * g1 - g2) / schur
+        u = -(g1 + h12 * v) / h11
+    w = 1.0 - u - v
+    interior_obj = q00 - 2.0 * lin[:, 0] + g1 * u + g2 * v
+    interior = (h11 > 0.0) & (schur > 0.0) & np.isfinite(interior_obj)
+    interior &= (u >= -1e-10) & (v >= -1e-10) & (w >= -1e-10)
+
+    i, j = _EDGES
+    t, obj = _edge_minimum(quad[:, i, i], quad[:, i, j], quad[:, j, j], lin[:, i], lin[:, j])
+    edge = np.argmin(obj, axis=1)
+    rows = np.arange(len(edge))
+    edge_q = np.zeros(lin.shape)
+    edge_q[rows, i[edge]] = t[rows, edge]
+    edge_q[rows, j[edge]] = 1.0 - t[rows, edge]
+    best_q = np.where(interior[:, None], np.stack((w, u, v), axis=1), edge_q)
+    return best_q, np.where(interior, interior_obj, obj[rows, edge])
+
+
+_CLOSED_FORMS = {2: _segment_minimum, 3: _triangle_minimum}
 
 
 def block_trace(matrix: np.ndarray, block_dim: int) -> np.ndarray:

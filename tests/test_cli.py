@@ -290,6 +290,11 @@ class TestSimulate:
             ("a", ("name",), 5, "scenario name must be of type str, got int"),
             ("a", ("master_seed",), "12", "scenario master_seed must be of type int, got str"),
             ("a", ("profile_sed",), 3, "scenario has unknown field(s): profile_sed"),
+            ("a", ("step_size",), float("nan"), "scenario step_size must be finite, got nan"),
+            ("a", ("segments", 0, "gamma", 1, 1), float("inf"),
+             "segment 0 gamma[1][1] must be finite, got inf"),
+            ("a", ("strategies",), ["atc", "maic-p1", "atc"],
+             "strategies are listed more than once: ['atc']"),
         ],
     )
     def test_malformed_scenario_file_fails_with_one_error_line(
@@ -309,6 +314,16 @@ class TestSimulate:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {message}")
+
+    def test_repeated_strategy_fails_with_one_error_line(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "a", "--strategies", "atc,atc",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: strategies are listed more than once: ['atc']"]
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_override_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -182,6 +182,22 @@ class TestMalformedScenarios:
         with pytest.raises(ValueError, match=r"segment 0 gamma\[1\]\[1\] must be of type float, got str"):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_are_named(self, value):
+        # Python's json writes and reads NaN, Infinity and -Infinity
+        data = _scenario_json("a")
+        data["step_size"] = value
+        data["segments"][0]["cluster_means"][2][1] = value
+        with pytest.raises(ValueError, match=f"scenario step_size must be finite, got {value}"):
+            Scenario.from_dict(json.loads(json.dumps(data)))
+        data["step_size"] = 0.1
+        with pytest.raises(ValueError, match=r"segment 0 cluster_means\[2\]\[1\] must be finite"):
+            Scenario.from_dict(json.loads(json.dumps(data)))
+
+    def test_repeated_strategies_are_listed(self):
+        with pytest.raises(ValueError, match=r"listed more than once: \['atc', 'maic-p1'\]"):
+            small("a", strategies=("maic-p1", "atc", "mdlms-averaging", "atc", "maic-p1"))
+
     def test_large_seeds_stay_exact_and_huge_floats_are_named(self):
         data = _scenario_json("a")
         data["master_seed"] = 2**64 - 1

@@ -6,12 +6,15 @@ and the uncompressed stacked objective, never against themselves.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from maicnet import weight_opt
 from maicnet.signal_model import SignalModel
 from maicnet.topology import ClusteredTopology
 from maicnet.weight_opt import (
@@ -70,10 +73,10 @@ qp_entries = st.one_of(
 
 
 @st.composite
-def qp_batches(draw):
+def qp_batches(draw, sizes=st.integers(min_value=1, max_value=4)):
     """Small simplex QP batches with tied faces, singular and non-finite
     instances; the ridge is either the default or zero."""
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(sizes)
     batch = draw(st.integers(min_value=1, max_value=4))
     roots = draw(hnp.arrays(np.float64, (batch, n, n), elements=qp_entries))
     quad = roots @ roots.transpose(0, 2, 1)
@@ -93,6 +96,36 @@ def qp_batches(draw):
     return quad, lin, ridge
 
 
+def pinned_qp_cases(test):
+    """Pin the batches that once broke a solver as hypothesis examples."""
+    cases = [
+        # duplicated coordinates: every face containing both ties
+        (np.array([[[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [1.0, 1.0, 3.0]]]),
+         np.array([[1.0, 1.0, 0.5]]), EPS_RIDGE),
+        # zero quadratic without ridge: every pair face is singular
+        (np.zeros((2, 3, 3)), np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]), 0.0),
+        # what a diverged run feeds the solver
+        (np.array([[[np.inf, np.nan], [np.nan, 1.0]], [[np.inf, np.inf], [np.inf, np.inf]]]),
+         np.array([[np.nan, 1.0], [-np.inf, np.inf]]), EPS_RIDGE),
+        # faces {1} and {0, 1} one ulp apart; a strided quadratic broke the tie
+        (np.array([[[6.0625, 5.0625], [5.0625, 5.0625]], np.zeros((2, 2))]),
+         np.ones((2, 2)), EPS_RIDGE),
+        # faces {0, 1, 2} and {0, 2} near-tied; a C-ordered linear term broke it
+        (np.pad(np.ones((1, 2, 2)), ((0, 1), (0, 2), (0, 2))), np.full((2, 4), 249.0), EPS_RIDGE),
+    ]
+    for case in reversed(cases):
+        test = example(case)(test)
+    return test
+
+
+def solve_by_faces(quad, lin, ridge=EPS_RIDGE):
+    """``solve_simplex_qp_batch`` with the closed forms for 2 and 3
+    coordinates switched off, so every size enumerates faces; from 4
+    coordinates on this is the production path."""
+    with mock.patch.dict(weight_opt._CLOSED_FORMS, clear=True):
+        return solve_simplex_qp_batch(quad, lin, ridge)
+
+
 def random_qp(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     root = rng.standard_normal((n, n))
     return root @ root.T + 0.05 * np.eye(n), rng.standard_normal(n)
@@ -100,6 +133,13 @@ def random_qp(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]
 
 def objective(quad: np.ndarray, lin: np.ndarray, q: np.ndarray) -> float:
     return float(q @ quad @ q - 2.0 * lin @ q)
+
+
+def objective_on_support(quad: np.ndarray, lin: np.ndarray, q: np.ndarray) -> float:
+    """The objective summed over the support of q only, so entries where q
+    is zero never enter, infinite or not."""
+    s = np.flatnonzero(q)
+    return objective(quad[np.ix_(s, s)], lin[s], q[s])
 
 
 def star(leaves: int) -> ClusteredTopology:
@@ -238,32 +278,70 @@ class TestSolver:
             assert kkt_residual(q, 2.0 * (quad @ q - lin)) <= 1e-9
 
     @given(qp_batches())
-    @example(  # duplicated coordinates: every face containing both ties
-        (np.array([[[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [1.0, 1.0, 3.0]]]),
-         np.array([[1.0, 1.0, 0.5]]), EPS_RIDGE)
-    )
-    @example(  # zero quadratic without ridge: every pair face is singular
-        (np.zeros((2, 3, 3)), np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]), 0.0)
-    )
-    @example(  # what a diverged run feeds the solver
-        (np.array([[[np.inf, np.nan], [np.nan, 1.0]], [[np.inf, np.inf], [np.inf, np.inf]]]),
-         np.array([[np.nan, 1.0], [-np.inf, np.inf]]), EPS_RIDGE)
-    )
-    @example(  # faces {1} and {0, 1} one ulp apart; a strided quadratic broke the tie
-        (np.array([[[6.0625, 5.0625], [5.0625, 5.0625]], np.zeros((2, 2))]),
-         np.ones((2, 2)), EPS_RIDGE)
-    )
-    @example(  # faces {0, 1, 2} and {0, 2} near-tied; a C-ordered linear term broke it
-        (np.pad(np.ones((1, 2, 2)), ((0, 1), (0, 2), (0, 2))), np.full((2, 4), 249.0), EPS_RIDGE)
-    )
+    @pinned_qp_cases
     @settings(max_examples=300, deadline=None)
     def test_batch_matches_the_face_by_face_oracle(self, case):
         quad, lin, ridge = case
         with np.errstate(all="ignore"):
-            weights, ok = solve_simplex_qp_batch(quad, lin, ridge)
+            weights, ok = solve_by_faces(quad, lin, ridge)
             expected_weights, expected_ok = solve_simplex_qp_batch_loop(quad, lin, ridge)
         assert np.array_equal(weights, expected_weights)
         assert np.array_equal(ok, expected_ok)
+
+    @given(qp_batches(sizes=st.sampled_from([2, 3])))
+    @pinned_qp_cases
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_the_face_by_face_oracle_on_objective(self, case):
+        quad, lin, ridge = case
+        with np.errstate(all="ignore"):
+            weights, ok = solve_simplex_qp_batch(quad, lin, ridge)
+            expected_weights, expected_ok = solve_simplex_qp_batch_loop(quad, lin, ridge)
+        assert np.array_equal(ok, expected_ok)
+        ridged = quad + ridge * np.eye(lin.shape[1])
+        for b in np.flatnonzero(ok):
+            q, expected = weights[b], expected_weights[b]
+            assert q.min() >= 0.0 and abs(q.sum() - 1.0) <= 1e-12
+            # without a ridge, a singular quadratic can leave the stacked solve
+            # a point off the simplex; there is nothing to compare against
+            if abs(expected.sum() - 1.0) > 1e-9:
+                continue
+            # rounding is relative to the data on the two points' supports
+            s = np.flatnonzero((q != 0) | (expected != 0))
+            scale = np.abs(ridged[b][np.ix_(s, s)]).max() + 2.0 * np.abs(lin[b, s]).max()
+            assert objective_on_support(ridged[b], lin[b], q) <= (
+                objective_on_support(ridged[b], lin[b], expected) + 1e-12 * scale
+            )
+            if np.isfinite(ridged[b]).all():
+                eig = np.linalg.eigvalsh(ridged[b])
+                # strictly convex on the data's scale: one minimizer, well posed
+                if eig[0] > 1e-6 * (eig[-1] + np.abs(lin[b]).max()):
+                    assert np.allclose(q, expected)
+
+    def test_closed_form_does_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 3):
+            # Gaussian instances, then singular ones with tied and flat faces
+            roots = rng.standard_normal((2000, n, n))
+            roots[1000:] = rng.choice([0.0, 0.5, 1.0, -1.0, 2.0], (1000, n, n))
+            quad = roots @ roots.transpose(0, 2, 1)
+            lin = rng.standard_normal((2000, n))
+            lin[1000:] = rng.choice([0.0, 0.5, 1.0, -1.0, 2.0], (1000, n))
+            weights, ok = solve_simplex_qp_batch(quad, lin)
+            assert ok.all()
+            for b in range(2000):
+                alone, alone_ok = solve_simplex_qp_batch(quad[b : b + 1], lin[b : b + 1])
+                assert np.array_equal(alone[0], weights[b]) and alone_ok[0]
+
+    @pytest.mark.parametrize("n, calls", [(2, 0), (3, 0), (4, 3)])
+    def test_two_and_three_nodes_never_solve_a_linear_system(self, monkeypatch, n, calls):
+        # face enumeration makes one stacked solve per face size above one
+        counted = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: counted.append(1) or solve(*args))
+        quad, lin = random_qp(np.random.default_rng(n), n)
+        _, ok = solve_simplex_qp_batch(np.tile(quad, (8, 1, 1)), np.tile(lin, (8, 1)))
+        assert ok.all()
+        assert len(counted) == calls
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_large_batches_match_the_face_by_face_oracle(self, n):
@@ -272,7 +350,7 @@ class TestSolver:
         roots = rng.standard_normal((2000, n, n))
         quad = roots @ roots.transpose(0, 2, 1)
         lin = rng.standard_normal((2000, n))
-        weights, ok = solve_simplex_qp_batch(quad, lin)
+        weights, ok = solve_by_faces(quad, lin)
         expected_weights, expected_ok = solve_simplex_qp_batch_loop(quad, lin)
         assert np.array_equal(weights, expected_weights)
         assert np.array_equal(ok, expected_ok)
@@ -284,13 +362,18 @@ class TestSolver:
         lin = np.array([[1.0, 0.8], [0.5, 0.5]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(quad, np.ones((2, 2, 2)))
-        weights, ok = solve_simplex_qp_batch(quad, lin, ridge=0.0)
+        weights, ok = solve_by_faces(quad, lin, ridge=0.0)
         expected_weights, expected_ok = solve_simplex_qp_batch_loop(quad, lin, ridge=0.0)
         assert np.array_equal(weights, expected_weights)
         assert np.array_equal(ok, expected_ok)
         assert ok.all()
         assert weights[1].tolist() == [1.0, 0.0]
         assert weights[0].min() > 0.0
+        # the closed form breaks the flat instance's tie the same way
+        closed, closed_ok = solve_simplex_qp_batch(quad, lin, ridge=0.0)
+        assert closed_ok.all()
+        assert closed[1].tolist() == [1.0, 0.0]
+        assert np.allclose(closed[0], weights[0])
 
     def test_batch_output_is_feasible(self):
         rng = np.random.default_rng(42)
