@@ -348,7 +348,8 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
 def _draw_chunk(
     compiled: CompiledScenario, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[bytes]]:
-    """All randomness for runs lo..hi-1, each run from its own substream."""
+    """All randomness for runs lo..hi-1, each run from its own substream, time-major
+    so that a step reads contiguous slabs: regressors (T, C, N, M), the rest (T, C, N)."""
     scenario = compiled.scenario
     model0 = compiled.models[0]
     n, dim, horizon = model0.n_nodes, model0.dim, scenario.iterations
@@ -356,28 +357,28 @@ def _draw_chunk(
     count = hi - lo
 
     w_true = np.empty((count, n_seg, n, dim))
-    regressors = np.empty((count, horizon, n, dim))
-    noises = np.empty((count, horizon, n))
+    regressors = np.empty((horizon, count, n, dim))
+    noises = np.empty((horizon, count, n))
     digests = []
     for j in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((scenario.master_seed, lo + j)))
         for s, model in enumerate(compiled.models):
             w_true[j, s] = sample_parameters(model, rng)
-        regressors[j] = draw_regressors(model0, horizon, rng)
-        noises[j] = draw_noises(model0, horizon, rng)
+        run_regressors = regressors[:, j] = draw_regressors(model0, horizon, rng)
+        run_noises = noises[:, j] = draw_noises(model0, horizon, rng)
         digest = hashlib.sha256()
         digest.update(w_true[j].tobytes())
-        digest.update(regressors[j].tobytes())
-        digest.update(noises[j].tobytes())
+        digest.update(run_regressors.tobytes())
+        digest.update(run_noises.tobytes())
         digests.append(digest.digest())
 
-    responses = np.empty((count, horizon, n))
+    responses = np.empty((horizon, count, n))
     starts = [seg.start for seg in scenario.segments] + [horizon]
     for s in range(n_seg):
         t0, t1 = starts[s], starts[s + 1]
         # in place: two fewer chunk-sized temporaries at the chunk's memory peak
-        np.einsum("ctnm,cnm->ctn", regressors[:, t0:t1], w_true[:, s], out=responses[:, t0:t1])
-        responses[:, t0:t1] += noises[:, t0:t1]
+        np.einsum("tcnm,cnm->tcn", regressors[t0:t1], w_true[:, s], out=responses[t0:t1])
+        responses[t0:t1] += noises[t0:t1]
     return w_true, regressors, noises, responses, digests
 
 
@@ -408,8 +409,8 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
 
         for t in range(horizon):
             seg = int(segment_of[t])
-            u_t = regressors[:, t]
-            d_t = responses[:, t]
+            u_t = regressors[t]
+            d_t = responses[t]
             if plan.kind == "fixed":
                 strategies.maic_step(
                     state, u_t, d_t, combine, plan.weights[seg], step_sizes
@@ -423,7 +424,7 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
                     state, u_t, d_t, combine, topology, scenario.alpha, step_sizes
                 )
             diff = w_true[:, seg] - state.weights
-            err = np.einsum("cnm,cnm->cn", diff, diff)
+            err = strategies.row_dot(diff, diff)
             net = err.sum(axis=1)
             overflow = alive & ~(net <= DIVERGENCE_NORM**2)
             if overflow.any():
@@ -512,7 +513,10 @@ class MsdCurve:
         return float(to_db(self.steady_state()))
 
     def steady_se(self) -> float:
+        """Standard error of the steady state; NaN with fewer than two valid runs."""
         valid = self.run_steady[np.isfinite(self.run_steady)]
+        if valid.size < 2:
+            return float("nan")
         return float(np.std(valid, ddof=1) / np.sqrt(valid.size))
 
     def steady_se_db(self) -> float:
@@ -528,19 +532,25 @@ def msd_gain(curve: MsdCurve, baseline: MsdCurve) -> float:
 
 
 def msd_gain_se(curve: MsdCurve, baseline: MsdCurve) -> tuple[float, float]:
-    """Gain and its standard error from paired per-run steady states."""
+    """Gain and its standard error from paired per-run steady states; the
+    error is NaN with fewer than two valid pairs, the gain with none."""
     a = curve.run_steady
     b = baseline.run_steady
     valid = np.isfinite(a) & np.isfinite(b)
     a, b = a[valid], b[valid]
     n = a.size
+    if n == 0:
+        return float("nan"), float("nan")
     ma, mb = a.mean(), b.mean()
+    gain = float(to_db(mb) - to_db(ma))
+    if n < 2:
+        return gain, float("nan")
     cov = np.cov(a, b, ddof=1)
     scale = 10.0 / np.log(10.0)
     var_gain = (scale**2) * (
         cov[0, 0] / ma**2 + cov[1, 1] / mb**2 - 2.0 * cov[0, 1] / (ma * mb)
     ) / n
-    return float(to_db(mb) - to_db(ma)), float(np.sqrt(max(var_gain, 0.0)))
+    return gain, float(np.sqrt(max(var_gain, 0.0)))
 
 
 @dataclass

@@ -232,9 +232,13 @@ def sample_parameters(model: SignalModel, rng: np.random.Generator) -> np.ndarra
 
 
 def draw_regressors(model: SignalModel, n_iters: int, rng: np.random.Generator) -> np.ndarray:
-    """(T, N, M) Gaussian regressors, white in time, colored per node."""
+    """(T, N, M) Gaussian regressors, white in time, colored per node column by
+    column (elementwise; an einsum over the short axis loops per output element)."""
     z = rng.standard_normal((n_iters, model.n_nodes, model.dim))
-    return np.einsum("nij,tnj->tni", model._reg_sqrt, z)
+    colored = model._reg_sqrt[:, :, 0] * z[..., 0, None]
+    for j in range(1, model.dim):
+        colored += model._reg_sqrt[:, :, j] * z[..., j, None]
+    return colored
 
 
 def draw_noises(model: SignalModel, n_iters: int, rng: np.random.Generator) -> np.ndarray:

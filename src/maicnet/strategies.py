@@ -29,6 +29,7 @@ from .topology import ClusteredTopology
 __all__ = [
     "StrategyState",
     "init_state",
+    "row_dot",
     "adapt",
     "inter_cluster_combine",
     "intra_cluster_combine",
@@ -70,6 +71,15 @@ def init_state(
     return state
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_m a[..., m] * b[..., m]``, broadcast and added in index order: elementwise,
+    where einsum loops once per output element, and bitwise equal to it for M <= 2."""
+    total = a[..., 0] * b[..., 0]
+    for m in range(1, a.shape[-1]):
+        total += a[..., m] * b[..., m]
+    return total
+
+
 def adapt(
     weights: np.ndarray, regressors: np.ndarray, responses: np.ndarray, step_sizes: np.ndarray
 ) -> np.ndarray:
@@ -77,7 +87,7 @@ def adapt(
 
     ``psi_k = w_k + mu_k * u_k * (d_k - u_k . w_k)``
     """
-    error = responses - np.einsum("...nm,...nm->...n", regressors, weights)
+    error = responses - row_dot(regressors, weights)
     mu = np.atleast_1d(np.asarray(step_sizes, dtype=float))
     return weights + mu[..., :, None] * regressors * error[..., :, None]
 
@@ -160,15 +170,14 @@ def _solve_learned_columns(
 
     # Smoothed squared distance between each adapted iterate and the
     # receiving node's previous iterate, tracked on neighborhood pairs.
-    psi_sq = np.einsum("bnm,bnm->bn", flat_psi, flat_psi)
-    w_sq = np.einsum("bnm,bnm->bn", flat_w, flat_w)
-    cross = np.einsum("blm,bkm->blk", flat_psi, flat_w)
-    sq_dist = psi_sq[:, :, None] + w_sq[:, None, :] - 2.0 * cross
+    senders, receivers = np.nonzero(topology.adjacency)
+    increment = flat_psi[:, senders] - flat_w[:, receivers]
     flat_power = state.increment_power.reshape(-1, n, n)
-    mask = topology.adjacency
-    flat_power[:, mask] = alpha * flat_power[:, mask] + (1.0 - alpha) * sq_dist[:, mask]
+    flat_power[:, senders, receivers] = (
+        alpha * flat_power[:, senders, receivers] + (1.0 - alpha) * row_dot(increment, increment)
+    )
 
-    gram = np.einsum("bim,bjm->bij", flat_w, flat_w)
+    gram = row_dot(flat_w[:, :, None], flat_w[:, None])
     learned, ok = weight_opt.solve_local_columns(topology, gram, flat_power)
     # a failed instance keeps only its own node
     runs, nodes = np.nonzero(~ok)

@@ -155,26 +155,27 @@ def _face_minimum(quad: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.nda
             points[:, ranks, j] = 1.0
             continue
         sub_quad = quad[:, members[:, :, None], members[:, None, :]].reshape(-1, size, size)
-        rhs = np.ones((len(sub_quad), size, 2))
-        rhs[:, :, 0] = lin[:, members].reshape(-1, size)
+        # stationarity bordered by the simplex row, [[Q, 1], [1', 0]] [q; -nu] = [l; 1]:
+        # regular wherever Q is definite along the face, even where Q is singular
+        kkt = np.ones((len(sub_quad), size + 1, size + 1))
+        kkt[:, :size, :size] = sub_quad
+        kkt[:, size, size] = 0.0
+        rhs = np.ones((len(sub_quad), size + 1, 1))
+        rhs[:, :size, 0] = lin[:, members].reshape(-1, size)
         try:
-            sol = np.linalg.solve(sub_quad, rhs)
+            sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             sol = np.full(rhs.shape, np.nan)
             for b in range(len(rhs)):
                 try:
-                    sol[b] = np.linalg.solve(sub_quad[b], rhs[b])
+                    sol[b] = np.linalg.solve(kkt[b], rhs[b])
                 except np.linalg.LinAlgError:
                     pass
-        a, b_dir = sol[:, :, 0], sol[:, :, 1]
-        denom = b_dir.sum(axis=1)
-        safe = np.abs(denom) > 1e-300
-        lam = np.where(safe, (1.0 - a.sum(axis=1)) / np.where(safe, denom, 1.0), np.nan)
-        candidate = a + lam[:, None] * b_dir
+        candidate = sol[:, :size, 0]
         feasible = (
             np.isfinite(candidate).all(axis=1)
             & (candidate.min(axis=1) >= -1e-10)
-            & safe
+            & (np.abs(candidate.sum(axis=1) - 1.0) <= 1e-10)
         )
         # objectives face by face, with the operand layouts of the face-by-face solver:
         # einsum's rounding depends on them, and near-tied faces are ranked by it

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from maicnet.signal_model import SignalModel, _psd_sqrt
-from maicnet.strategies import StrategyState, adapt, intra_cluster_combine
+from maicnet.strategies import StrategyState, adapt, intra_cluster_combine, row_dot
 from maicnet.theory import SIZE_CAP, _stack_block_diag, spectral_radius, step_size_matrix
 from maicnet.topology import ClusteredTopology, kron_expand
 from maicnet.weight_opt import EPS_RIDGE, project_simplex
@@ -356,6 +356,22 @@ def einsum_intra_cluster_combine(cooperated, combine):
     return np.einsum("...lm,lk->...km", cooperated, combine)
 
 
+def einsum_node_dot(a, b):
+    """Per-node inner product over the parameter axis as an einsum (the LMS
+    error and the deviation norm)."""
+    return np.einsum("...nm,...nm->...n", a, b)
+
+
+def einsum_gram(w):
+    """Gram matrix of each run's node iterates as an einsum."""
+    return np.einsum("bim,bjm->bij", w, w)
+
+
+def einsum_color(reg_sqrt, z):
+    """White draws ``z`` (T, N, M) colored per node by ``reg_sqrt`` (N, M, M)."""
+    return np.einsum("nij,tnj->tni", reg_sqrt, z)
+
+
 def einsum_mdlms_pull(w, regularizer):
     """Regularizer pull ``sum_l rho[l,k] (w_l - w_k)`` as an einsum."""
     pull = np.einsum("...lm,lk->...km", w, regularizer)
@@ -410,7 +426,6 @@ def solve_simplex_qp_batch_loop(
 
     best_obj = np.full(batch, np.inf)
     best_q = np.zeros((batch, n))
-    ones_template = np.ones(n)
     for subset in enumerate_subsets(n):
         s = subset.size
         if s == 1:
@@ -423,27 +438,29 @@ def solve_simplex_qp_batch_loop(
                 best_obj[better] = obj[better]
             continue
         sub_quad = quad[np.ix_(np.arange(batch), subset, subset)]
-        rhs = np.empty((batch, s, 2))
-        rhs[:, :, 0] = lin[:, subset]
-        rhs[:, :, 1] = ones_template[subset]
+        # stationarity bordered by the simplex row: [[Q, 1], [1', 0]] [q; -nu] = [l; 1]
+        kkt = np.empty((batch, s + 1, s + 1))
+        kkt[:, :s, :s] = sub_quad
+        kkt[:, :s, s] = 1.0
+        kkt[:, s, :s] = 1.0
+        kkt[:, s, s] = 0.0
+        rhs = np.empty((batch, s + 1, 1))
+        rhs[:, :s, 0] = lin[:, subset]
+        rhs[:, s, 0] = 1.0
         try:
-            sol = np.linalg.solve(sub_quad, rhs)
+            sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
-            sol = np.full((batch, s, 2), np.nan)
+            sol = np.full((batch, s + 1, 1), np.nan)
             for b in range(batch):
                 try:
-                    sol[b] = np.linalg.solve(sub_quad[b], rhs[b])
+                    sol[b] = np.linalg.solve(kkt[b], rhs[b])
                 except np.linalg.LinAlgError:
                     pass
-        a, b_dir = sol[:, :, 0], sol[:, :, 1]
-        denom = b_dir.sum(axis=1)
-        safe = np.abs(denom) > 1e-300
-        lam = np.where(safe, (1.0 - a.sum(axis=1)) / np.where(safe, denom, 1.0), np.nan)
-        candidate = a + lam[:, None] * b_dir
+        candidate = sol[:, :s, 0]
         feasible = (
             np.isfinite(candidate).all(axis=1)
             & (candidate.min(axis=1) >= -1e-10)
-            & safe
+            & (np.abs(candidate.sum(axis=1) - 1.0) <= 1e-10)
         )
         obj = np.einsum("bi,bij,bj->b", candidate, sub_quad, candidate) - 2.0 * np.einsum(
             "bi,bi->b", lin[:, subset], candidate
@@ -508,11 +525,11 @@ def solve_learned_columns_loop(
     batch = flat_w.shape[0]
 
     # Smoothed squared distance between each adapted iterate and the
-    # receiving node's previous iterate, tracked on neighborhood pairs.
-    psi_sq = np.einsum("bnm,bnm->bn", flat_psi, flat_psi)
-    w_sq = np.einsum("bnm,bnm->bn", flat_w, flat_w)
-    cross = np.einsum("blm,bkm->blk", flat_psi, flat_w)
-    sq_dist = psi_sq[:, :, None] + w_sq[:, None, :] - 2.0 * cross
+    # receiving node's previous iterate, for every pair and then masked;
+    # moments come from the production contraction, so only grouping,
+    # scatter and fallbacks differ from the library route.
+    increment = flat_psi[:, :, None, :] - flat_w[:, None, :, :]
+    sq_dist = row_dot(increment, increment)
     flat_power = state.increment_power.reshape(-1, n, n)
     mask = topology.adjacency
     flat_power[:, mask] = alpha * flat_power[:, mask] + (1.0 - alpha) * sq_dist[:, mask]
@@ -526,10 +543,10 @@ def solve_learned_columns_loop(
             learned[:, k, k] = 1.0
             continue
         candidates = flat_w[:, support, :]
-        quad = np.einsum("bim,bjm->bij", candidates, candidates)
+        quad = row_dot(candidates[:, :, None, :], candidates[:, None, :, :])
         idx = np.arange(size)
         quad[:, idx, idx] += flat_power[:, support, k]
-        lin = np.einsum("bim,bm->bi", candidates, flat_w[:, k, :])
+        lin = row_dot(candidates, flat_w[:, k, None, :])
         column, ok = qp_solver(quad, lin)
         bad = ~ok
         if bad.any():

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +230,25 @@ class TestSimulate:
         assert set(summary["strategies"]) == {"atc", "maic-p2"}
         curves = (out_dir / "curves.csv").read_text().splitlines()
         assert len(curves) == 51
+
+    def test_single_run_prints_no_warning(self, tmp_path):
+        # a fresh interpreter, so numpy's warnings reach stderr as a user sees them
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out_dir = tmp_path / "sim"
+        completed = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "maicnet.cli", "simulate", "--scenario", "a",
+             "--runs", "1", "--iters", "50", "--out", str(out_dir)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["strategies"]["atc"]["steady_se"] is None
 
     def test_scenario_json_round_trip_through_cli(self, capsys, tmp_path):
         scenario = presets.get_scenario(

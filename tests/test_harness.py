@@ -428,6 +428,19 @@ class TestCurveStatistics:
     def result(self, statistics_result):
         return statistics_result
 
+    def test_one_run_has_no_standard_error(self):
+        # RuntimeWarnings are errors here: one run must not reach numpy's spread estimators
+        result = run_scenario(small("a", runs=1, iterations=30, strategies=("maic-p2", "atc")))
+        summary = result.summary_dict()["strategies"]
+        for entry in summary.values():
+            assert entry["n_valid_runs"] == 1 and entry["steady_state_db"] is not None
+            assert entry["steady_se"] is None and entry["steady_se_db"] is None
+        gain, se = msd_gain_se(result.curves["maic-p2"], result.curves["atc"])
+        assert summary["maic-p2"]["gain_over_atc_db"] == gain == msd_gain(
+            result.curves["maic-p2"], result.curves["atc"]
+        )
+        assert np.isnan(se) and summary["maic-p2"]["gain_over_atc_se_db"] is None
+
     def test_window_and_counts(self, result):
         curve = result.curves["atc"]
         assert curve.window_start == 72
@@ -628,6 +641,31 @@ class TestPresets:
         ns = presets.get_scenario("nonstationary")
         assert ns.iterations == 1000 and ns.eta == 12.0
         assert [s.start for s in ns.segments] == [0, 250, 500, 750]
+
+
+class TestSimulationHotPath:
+    def test_one_einsum_per_segment(self, monkeypatch):
+        # only the responses of each segment are an einsum (in place, for the
+        # chunk's memory peak); short-axis einsums elsewhere run one tiny loop
+        # per output element
+        scenario = small("a", runs=3, iterations=20)
+        compiled = harness.compile_scenario(scenario)
+        assert {plan.kind for plan in compiled.plans} == {"fixed", "mdlms", "adaptive"}
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(
+            np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs)
+        )
+        harness._simulate_chunk(compiled, 0, 3)
+        assert len(calls) <= len(scenario.segments)
+
+    def test_draws_are_time_major(self):
+        compiled = harness.compile_scenario(small("a", runs=3, iterations=20))
+        w_true, regressors, noises, responses, _ = harness._draw_chunk(compiled, 0, 3)
+        assert regressors.shape == (20, 3, 10, 2) and noises.shape == responses.shape == (20, 3, 10)
+        for j in range(3):
+            expected = (regressors[:, j] * w_true[j, 0]).sum(axis=-1) + noises[:, j]
+            assert np.array_equal(responses[:, j], expected)
 
 
 class TestCallTimeLookups:

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from maicnet import harness, presets
 from maicnet.signal_model import (
+    SignalModel,
     draw_noises,
     draw_regressors,
     noise_profile_uniform_db,
     parameter_moments_from_correlation,
     sample_parameters,
 )
-from oracles import stacked_parameter_moments
+from oracles import einsum_color, stacked_parameter_moments
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -151,6 +152,29 @@ class TestSampling:
         u = draw_regressors(line_model, 20000, rng)
         power = np.mean(u[:, :, 0] ** 2, axis=0)
         assert np.allclose(power, [1.0, 1.3, 0.8, 1.1], atol=0.05)
+
+    @staticmethod
+    def _colored_both_ways(reg_cov):
+        n, dim = reg_cov.shape[:2]
+        model = SignalModel(
+            dim=dim, reg_cov=reg_cov, noise_var=np.ones(n), step_sizes=np.full(n, 0.1),
+            cluster_means=np.zeros((1, dim)), cluster_cov=np.eye(dim),
+            cluster_of=np.zeros(n, dtype=int),
+        )
+        u = draw_regressors(model, 50, np.random.default_rng(dim))
+        z = np.random.default_rng(dim).standard_normal((50, n, dim))
+        return u, einsum_color(model._reg_sqrt, z)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_isotropic_coloring_matches_the_einsum_bitwise(self, dim):
+        power = np.random.default_rng(dim).uniform(0.5, 2.0, 6)
+        u, expected = self._colored_both_ways(power[:, None, None] * np.eye(dim))
+        assert np.array_equal(u, expected)
+
+    def test_general_coloring_matches_the_einsum_bitwise_at_two_coordinates(self):
+        roots = np.random.default_rng(9).standard_normal((6, 2, 2))
+        u, expected = self._colored_both_ways(roots @ roots.transpose(0, 2, 1) + 0.1 * np.eye(2))
+        assert np.array_equal(u, expected)
 
     def test_noise_variance_matches_profile(self, line_model):
         rng = np.random.default_rng(4)

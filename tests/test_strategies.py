@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from maicnet.strategies import (
     maic_adaptive_step,
     maic_step,
     mdlms_step,
+    row_dot,
 )
 from maicnet.topology import (
     ClusteredTopology,
@@ -24,9 +27,11 @@ from maicnet import weight_opt
 from maicnet.weight_opt import solve_simplex_qp_batch
 from oracles import (
     atc_step,
+    einsum_gram,
     einsum_inter_cluster_combine,
     einsum_intra_cluster_combine,
     einsum_mdlms_pull,
+    einsum_node_dot,
     loop_maic_step,
     loop_mdlms_pull,
     random_cooperation,
@@ -102,6 +107,27 @@ class TestCombines:
 def _assert_norm_close(got, want, rtol=1e-12):
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+class TestRowDot:
+    """The elementwise contraction over the parameter axis against einsum."""
+
+    @staticmethod
+    def _operands(dim):
+        rng = np.random.default_rng(dim)
+        return rng.standard_normal((2, 240, 24, dim)), rng.standard_normal((60, 10, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bitwise_equal_to_the_einsum_forms(self, dim):
+        (a, b), w = self._operands(dim)
+        assert np.array_equal(row_dot(a, b), einsum_node_dot(a, b))
+        assert np.array_equal(row_dot(w[:, :, None], w[:, None]), einsum_gram(w))
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_close_to_the_einsum_forms_above_two_coordinates(self, dim):
+        (a, b), w = self._operands(dim)
+        _assert_norm_close(row_dot(a, b), einsum_node_dot(a, b), rtol=1e-15)
+        _assert_norm_close(row_dot(w[:, :, None], w[:, None]), einsum_gram(w), rtol=1e-15)
 
 
 class TestNodeMixing:
@@ -338,6 +364,22 @@ class TestAdaptiveStep:
                 else:
                     assert power[l, k] == 0.0
 
+    def test_increment_power_does_not_cancel(self, two_cluster_line):
+        # iterates near 1e3 that move by 1e-3: a squared-norm expansion
+        # would lose every digit of the increment to cancellation
+        rng = np.random.default_rng(17)
+        w = 1e3 * rng.standard_normal(2) + 1e-3 * rng.standard_normal((3, 4, 2))
+        psi = w + 1e-3 * rng.standard_normal((3, 4, 2))
+        state = init_state(4, 2, (3,), adaptive=True)
+        state.weights = w
+        _solve_learned_columns(state, psi, two_cluster_line, 0.0)
+        senders, receivers = np.nonzero(two_cluster_line.adjacency)
+        for b in range(3):
+            for l, k in zip(senders, receivers):
+                exact = sum((Fraction(psi[b, l, m]) - Fraction(w[b, k, m])) ** 2 for m in range(2))
+                got = Fraction(state.increment_power[b, l, k])
+                assert abs(got - exact) <= Fraction(1e-12) * exact
+
     def test_fallback_counter_stays_zero_on_healthy_inputs(self):
         top, combine = self._setup()
         mu = np.full(5, 0.1)
@@ -405,7 +447,7 @@ class TestGroupedColumns:
         for k, support in enumerate(top.inter_plus):
             if len(support) == 1:
                 continue
-            lin = np.einsum("bim,bm->bi", flat_w[:, list(support)], flat_w[:, k])
+            lin = row_dot(flat_w[:, list(support)], flat_w[:, k, None])
             failed = lin[:, 0] > lin[:, -1]
             own = np.zeros(8)
             own[k] = 1.0

@@ -301,10 +301,6 @@ class TestSolver:
         for b in np.flatnonzero(ok):
             q, expected = weights[b], expected_weights[b]
             assert q.min() >= 0.0 and abs(q.sum() - 1.0) <= 1e-12
-            # without a ridge, a singular quadratic can leave the stacked solve
-            # a point off the simplex; there is nothing to compare against
-            if abs(expected.sum() - 1.0) > 1e-9:
-                continue
             # rounding is relative to the data on the two points' supports
             s = np.flatnonzero((q != 0) | (expected != 0))
             scale = np.abs(ridged[b][np.ix_(s, s)]).max() + 2.0 * np.abs(lin[b, s]).max()
@@ -374,6 +370,26 @@ class TestSolver:
         assert closed_ok.all()
         assert closed[1].tolist() == [1.0, 0.0]
         assert np.allclose(closed[0], weights[0])
+
+    def test_singular_quadratic_without_ridge_finds_the_minimum(self):
+        # the quadratic and its face {1, 2} are singular; a solve that rounding
+        # lets through once gave the point (0, 0, 0) and called it solved
+        quad = np.array([[5.25, -0.5, 0.25], [-0.5, 6.0, -3.0], [0.25, -3.0, 1.5]])
+        lin = np.array([-1.0, -1.0, -1.0])
+        minimum = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0])
+        embedded_quad = np.zeros((4, 4))
+        embedded_quad[:3, :3] = quad
+        embedded_quad[3, 3] = 100.0
+        for solve, q, l in (
+            (solve_by_faces, quad, lin),
+            (solve_simplex_qp_batch_loop, quad, lin),
+            (solve_simplex_qp_batch, quad, lin),
+            (solve_simplex_qp_batch, embedded_quad, np.full(4, -1.0)),
+        ):
+            weights, ok = solve(q[None], l[None], ridge=0.0)
+            assert ok[0]
+            assert np.allclose(weights[0, :3], minimum, rtol=0.0, atol=1e-15)
+            assert objective(q, l, weights[0]) == pytest.approx(2.0, abs=1e-14)
 
     def test_batch_output_is_feasible(self):
         rng = np.random.default_rng(42)
