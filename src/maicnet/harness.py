@@ -172,12 +172,20 @@ class Scenario:
             raise ValueError("give exactly one of noise_var and noise_db_range")
         if self.noise_db_range is not None and self.noise_db_range[0] > self.noise_db_range[1]:
             raise ValueError("noise_db_range must run from low to high")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        for key in ("master_seed", "profile_seed"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
         n, p = self.n_nodes, max(self.cluster_of, default=-1) + 1
         lengths = {"cluster_of": n, "reg_power": n, "noise_var": n, "sigma_w": p}
         for key, expected in lengths.items():
             values = getattr(self, key)
             if values is not None and len(values) != expected:
                 raise ValueError(f"{key} has {len(values)} entries, expected {expected}")
+        for k, power in enumerate(self.reg_power):
+            if power <= 0.0:
+                raise ValueError(f"reg_power[{k}] must be positive, got {power}")
         for i, segment in enumerate(self.segments):
             for key, width in (("cluster_means", self.dim), ("gamma", p)):
                 rows = getattr(segment, key)
@@ -194,7 +202,10 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         """Parse a decoded scenario JSON, checking every field's type and shape."""
-        return _parse(data, cls, "scenario")
+        scenario = _parse(data, cls, "scenario")
+        if not scenario.strategies:
+            raise ValueError("scenario strategies must name at least one strategy")
+        return scenario
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -349,7 +360,8 @@ def _draw_chunk(
     compiled: CompiledScenario, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[bytes]]:
     """All randomness for runs lo..hi-1, each run from its own substream, time-major
-    so that a step reads contiguous slabs: regressors (T, C, N, M), the rest (T, C, N)."""
+    so that a step reads contiguous slabs: regressors (T, C, N, M), responses (T, C, N).
+    Noise is drawn straight into the responses, so the noise slot is that array too."""
     scenario = compiled.scenario
     model0 = compiled.models[0]
     n, dim, horizon = model0.n_nodes, model0.dim, scenario.iterations
@@ -358,28 +370,23 @@ def _draw_chunk(
 
     w_true = np.empty((count, n_seg, n, dim))
     regressors = np.empty((horizon, count, n, dim))
-    noises = np.empty((horizon, count, n))
+    responses = np.empty((horizon, count, n))
     digests = []
     for j in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((scenario.master_seed, lo + j)))
         for s, model in enumerate(compiled.models):
             w_true[j, s] = sample_parameters(model, rng)
         run_regressors = regressors[:, j] = draw_regressors(model0, horizon, rng)
-        run_noises = noises[:, j] = draw_noises(model0, horizon, rng)
+        run_noises = responses[:, j] = draw_noises(model0, horizon, rng)
         digest = hashlib.sha256()
         digest.update(w_true[j].tobytes())
         digest.update(run_regressors.tobytes())
         digest.update(run_noises.tobytes())
         digests.append(digest.digest())
 
-    responses = np.empty((horizon, count, n))
-    starts = [seg.start for seg in scenario.segments] + [horizon]
-    for s in range(n_seg):
-        t0, t1 = starts[s], starts[s + 1]
-        # in place: two fewer chunk-sized temporaries at the chunk's memory peak
-        np.einsum("tcnm,cnm->tcn", regressors[t0:t1], w_true[:, s], out=responses[t0:t1])
-        responses[t0:t1] += noises[t0:t1]
-    return w_true, regressors, noises, responses, digests
+    for t, seg in enumerate(compiled.segment_of):
+        responses[t] += strategies.row_dot(regressors[t], w_true[:, seg])
+    return w_true, regressors, responses, responses, digests
 
 
 def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:

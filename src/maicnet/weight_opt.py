@@ -1,19 +1,19 @@
 """Simplex-constrained quadratic programs for cooperation weights.
 
-The local program picks one column of the cooperation matrix per node
-over its inter-cluster support. P2 builds it from the exact moments, the
-adaptive rule from online estimates, and both solve it exactly with
+Every weight program minimizes ``q' Q q - 2 l' q`` over weights that are
+nonnegative and sum to one within each group. The local program picks
+one column of the cooperation matrix per node over its inter-cluster
+support, one group. P2 builds it from the exact moments, the adaptive
+rule from online estimates, and both solve it exactly with
 ``solve_local_columns``, batched by support size: in closed form on
-supports of 2 and 3 nodes, by face enumeration on 4 to
-``MAX_FACE_SUPPORT``. The centralized program P1 couples the columns
-through the combine weights and is solved by masked accelerated
-projected gradient with a KKT certificate, which also serves P2 on
-supports too large to enumerate.
+supports of 2 and 3 nodes, by the active-set method on larger ones. The
+centralized program P1 couples the columns through the combine weights
+and is one active-set instance whose groups are the columns. P1 and P2
+are certified by the KKT residual of the exact point.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +36,8 @@ __all__ = [
 EPS_RIDGE = 1e-12
 KKT_ACTIVE_TOL = 1e-10
 KKT_TOL = 1e-8
-# the exact solver enumerates all 2**n - 1 faces of an n-node support
-MAX_FACE_SUPPORT = 10
+# a multiplier counts as negative below this fraction of the data's scale
+MULTIPLIER_TOL = 1e-13
 
 
 def project_simplex(v: np.ndarray, mask: "np.ndarray | None" = None) -> np.ndarray:
@@ -93,36 +93,107 @@ def kkt_residual(q: np.ndarray, grad: np.ndarray, active_tol: float = KKT_ACTIVE
     return max(spread, shortfall)
 
 
-@functools.lru_cache(maxsize=None)
-def _face_table(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Faces of the n-coordinate simplex, grouped by size.
+def _solve_each(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked ``np.linalg.solve``; when one system is singular, every system
+    is solved on its own and the singular ones are left NaN."""
+    try:
+        return np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.full(rhs.shape, np.nan)
+        for b in range(len(rhs)):
+            try:
+                sol[b] = np.linalg.solve(kkt[b], rhs[b])
+            except np.linalg.LinAlgError:
+                pass
+        return sol
 
-    Faces are ranked in bit-enumeration order (face ``bits`` holds
-    coordinate j when bit j is set). Each entry is ``(ranks, members)``:
-    the ranks of all faces of one size and their coordinates, ``(F, size)``.
+
+def _active_set(
+    quad: np.ndarray, lin: np.ndarray, groups: np.ndarray, free: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Primal active-set method (Nocedal & Wright, *Numerical Optimization*,
+    2nd ed., section 16.5): minimize ``q' quad q - 2 lin' q`` over ``q >= 0``
+    with ``sum(q[groups == g]) = 1`` per group g, from the vertex ``free``.
+
+    Each iteration solves ``[[Q_FF, A_F'], [A_F, 0]] [q_F; nu] = [l_F; 1]``
+    on the free set F (an identity row per fixed coordinate) for every
+    unfinished instance at once. A step stops at the first bound to block,
+    which leaves F; a full step lets the most negative multiplier
+    ``(Q q - l)_i + nu_g`` enter, or ends the instance. A just-entered weight
+    must rise: where a (nearly) singular system lowers it, the step follows
+    the null direction, along which the objective falls, to a bound.
+    Returns the points, ``ok`` (finite data, done within ``4 n`` iterations)
+    and the iterations run.
     """
-    faces = [[j for j in range(n) if (bits >> j) & 1] for bits in range(1, 2**n)]
-    table = []
-    for size in range(1, n + 1):
-        ranks = np.array([r for r, face in enumerate(faces) if len(face) == size])
-        members = np.array([faces[r] for r in ranks])
-        ranks.flags.writeable = False
-        members.flags.writeable = False
-        table.append((ranks, members))
-    return tuple(table)
+    batch, n = lin.shape
+    member = groups == np.arange(groups.max() + 1)[:, None]  # (G, n)
+    size = n + len(member)
+    free = free.copy()
+    q = free.astype(float)
+    entered = np.full(batch, -1)  # the coordinate entered by the last iteration, if any
+    ok = np.isfinite(quad).all(axis=(1, 2)) & np.isfinite(lin).all(axis=1)
+    tol = MULTIPLIER_TOL * (np.abs(quad).max(axis=(1, 2)) + np.abs(lin).max(axis=1))
+    todo = ok.copy()
+    iterations = 0
+    while todo.any() and iterations < 4 * n:
+        iterations += 1
+        idx = np.flatnonzero(todo)
+        rows = np.arange(idx.size)
+        f = free[idx]
+        kkt = np.zeros((idx.size, size, size))
+        kkt[:, :n, :n] = np.where(f[:, :, None] & f[:, None, :], quad[idx], np.eye(n))
+        border = member & f[:, None, :]
+        kkt[:, n:, :n] = border
+        kkt[:, :n, n:] = border.transpose(0, 2, 1)
+        rhs = np.ones((idx.size, size, 1))
+        rhs[:, :n, 0] = np.where(f, lin[idx], 0.0)
+        sol = _solve_each(kkt, rhs)[..., 0]
+        x, nu = sol[:, :n], sol[:, n:]
+
+        current = q[idx]
+        step = x - current
+        j = entered[idx]
+        ray = ~np.isfinite(sol).all(axis=1) | ((j >= 0) & (x[rows, j] <= 0.0))
+        for r in np.flatnonzero(ray):
+            null = np.linalg.svd(kkt[r])[2][-1, :n]
+            step[r] = null / null[j[r]]
+        blocking = f & (step < 0.0)
+        ratio = np.full(x.shape, np.inf)
+        np.divide(current, -step, out=ratio, where=blocking)
+        leave = np.argmin(ratio, axis=1)
+        blocked = ray | (f & (x < 0.0)).any(axis=1)
+        alpha = ratio[rows, leave]
+        lost = blocked & ~np.isfinite(alpha)  # a ray that meets no bound: rounding gone wrong
+        ok[idx[lost]] = todo[idx[lost]] = False
+        blocked &= ~lost
+        alpha = np.where(blocked, alpha, 1.0)[:, None]
+        q[idx] = np.where(blocked[:, None], current + alpha * step, x)
+        q[idx[blocked], leave[blocked]] = 0.0
+        f[rows[blocked], leave[blocked]] = False
+
+        multiplier = (quad[idx] @ x[..., None])[..., 0] - lin[idx] + nu[:, groups]
+        multiplier[f | blocked[:, None]] = np.inf
+        enter = np.argmin(multiplier, axis=1)
+        entering = multiplier[rows, enter] < -tol[idx]
+        f[rows[entering], enter[entering]] = True
+        entered[idx] = np.where(entering, enter, -1)
+        free[idx] = f
+        todo[idx[~blocked & ~entering]] = False
+    ok &= ~todo  # not done within the cap
+    return q, ok, iterations
 
 
 def solve_simplex_qp_batch(
     quad: np.ndarray, lin: np.ndarray, ridge: float = EPS_RIDGE
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exactly minimize a batch of small simplex QPs.
+    """Exactly minimize a batch of simplex QPs.
 
     Instances of 2 and 3 coordinates are solved in closed form with
-    elementwise arithmetic only, so no result depends on the rest of the
-    batch. Larger ones enumerate every face of the simplex, solving all
-    faces of one size in one stacked ``np.linalg.solve``; ties go to the
-    face enumerated first, and a NaN objective never wins. Returns the
-    minimizers and a boolean mask of instances solved successfully.
+    elementwise arithmetic only; larger ones by the active-set method,
+    started from their best vertex (the first on a tie). No result depends
+    on the rest of the batch. Returns the minimizers and a boolean mask of
+    instances solved successfully; from 4 coordinates on, an instance with
+    a non-finite entry is not.
 
     Parameters
     ----------
@@ -133,69 +204,18 @@ def solve_simplex_qp_batch(
     lin = np.asarray(lin, dtype=float)
     n = lin.shape[1]
     quad = quad + ridge * np.eye(n)
-    best_q, best_obj = _CLOSED_FORMS.get(n, _face_minimum)(quad, lin)
-    best_q[best_obj == np.inf] = 0.0  # no feasible candidate with a usable objective
-    ok = np.isfinite(best_obj)
+    if n in _CLOSED_FORMS:
+        best_q, best_obj = _CLOSED_FORMS[n](quad, lin)
+        best_q[best_obj == np.inf] = 0.0  # no feasible candidate with a usable objective
+        ok = np.isfinite(best_obj)
+    else:
+        vertex = np.argmin(np.diagonal(quad, axis1=1, axis2=2) - 2.0 * lin, axis=1)
+        start = np.arange(n) == vertex[:, None]
+        best_q, ok, _ = _active_set(quad, lin, np.zeros(n, dtype=np.intp), start)
     best_q = np.clip(best_q, 0.0, None)
     sums = best_q.sum(axis=1)
     np.divide(best_q, sums[:, None], out=best_q, where=(ok & (sums > 0))[:, None])
     return best_q, ok
-
-
-def _face_minimum(quad: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    batch, n = lin.shape
-    # objective and point of every face for every instance, faces in rank order
-    objective = np.empty((batch, 2**n - 1))
-    points = np.zeros((batch, 2**n - 1, n))
-    for ranks, members in _face_table(n):
-        size = members.shape[1]
-        if size == 1:
-            j = members[:, 0]
-            objective[:, ranks] = quad[:, j, j] - 2.0 * lin[:, j]
-            points[:, ranks, j] = 1.0
-            continue
-        sub_quad = quad[:, members[:, :, None], members[:, None, :]].reshape(-1, size, size)
-        # stationarity bordered by the simplex row, [[Q, 1], [1', 0]] [q; -nu] = [l; 1]:
-        # regular wherever Q is definite along the face, even where Q is singular
-        kkt = np.ones((len(sub_quad), size + 1, size + 1))
-        kkt[:, :size, :size] = sub_quad
-        kkt[:, size, size] = 0.0
-        rhs = np.ones((len(sub_quad), size + 1, 1))
-        rhs[:, :size, 0] = lin[:, members].reshape(-1, size)
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.full(rhs.shape, np.nan)
-            for b in range(len(rhs)):
-                try:
-                    sol[b] = np.linalg.solve(kkt[b], rhs[b])
-                except np.linalg.LinAlgError:
-                    pass
-        candidate = sol[:, :size, 0]
-        feasible = (
-            np.isfinite(candidate).all(axis=1)
-            & (candidate.min(axis=1) >= -1e-10)
-            & (np.abs(candidate.sum(axis=1) - 1.0) <= 1e-10)
-        )
-        # objectives face by face, with the operand layouts of the face-by-face solver:
-        # einsum's rounding depends on them, and near-tied faces are ranked by it
-        faces_q = np.ascontiguousarray(candidate.reshape(batch, -1, size).swapaxes(0, 1))
-        faces_quad = np.ascontiguousarray(sub_quad.reshape(batch, -1, size, size).swapaxes(0, 1))
-        obj = [
-            np.einsum("bi,bij,bj->b", q, quad_f, q) - 2.0 * np.einsum("bi,bi->b", lin[:, face], q)
-            for q, quad_f, face in zip(faces_q, faces_quad, members)
-        ]
-        objective[:, ranks] = np.where(feasible.reshape(batch, -1), np.stack(obj, axis=1), np.inf)
-        points[:, ranks[:, None], members] = candidate.reshape(batch, -1, size)
-
-    # argmin keeps the first minimum, as a running strict '<' would, but
-    # unlike '<' it would pick a NaN
-    objective[np.isnan(objective)] = np.inf
-    rows = np.arange(batch)
-    choice = np.argmin(objective, axis=1)
-    best_obj = objective[rows, choice]
-    best_q = points[rows, choice]
-    return best_q, best_obj
 
 
 def _edge_minimum(q00, q01, q11, l0, l1) -> tuple[np.ndarray, np.ndarray]:
@@ -245,8 +265,8 @@ def _triangle_minimum(quad: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np
         schur = h22 - h12 * ratio
         v = (ratio * g1 - g2) / schur
         u = -(g1 + h12 * v) / h11
-    w = 1.0 - u - v
-    interior_obj = q00 - 2.0 * lin[:, 0] + g1 * u + g2 * v
+        w = 1.0 - u - v
+        interior_obj = q00 - 2.0 * lin[:, 0] + g1 * u + g2 * v
     interior = (h11 > 0.0) & (schur > 0.0) & np.isfinite(interior_obj)
     interior &= (u >= -1e-10) & (v >= -1e-10) & (w >= -1e-10)
 
@@ -289,14 +309,7 @@ def solve_local_columns(
     simplex; ``gram`` and ``power`` are ``(B, N, N)``. One
     ``solve_simplex_qp_batch`` call per support size; a singleton support
     gets weight 1. Returns the columns ``(B, N, N)`` and ``ok`` ``(B, N)``.
-    Raises ``ValueError`` for a support above ``MAX_FACE_SUPPORT`` nodes.
     """
-    nodes, supports = topology.inter_plus_groups[-1]
-    if supports.shape[1] > MAX_FACE_SUPPORT:
-        raise ValueError(
-            f"node {nodes[0]} has {supports.shape[1]} nodes in its inter-cluster support; "
-            f"the exact local weight solver takes at most {MAX_FACE_SUPPORT}"
-        )
     batch, n = gram.shape[:2]
     columns = np.zeros((batch, n, n))
     ok = np.ones((batch, n), dtype=bool)
@@ -320,13 +333,9 @@ def solve_p2_all_nodes(
 ) -> tuple[np.ndarray, list[QPSolution]]:
     """Solve every node's local program from the exact moments, certifying
     each by the KKT residual of its exact point. Requires a uniform step
-    size. Supports above ``MAX_FACE_SUPPORT`` nodes go to P1 with identity
-    coupling, which decouples into the same programs, with P1's certificate.
+    size.
     """
     n = topology.n_nodes
-    if topology.inter_plus_groups[-1][1].shape[1] > MAX_FACE_SUPPORT:
-        coop, solution = solve_p1(model, topology, np.eye(n))
-        return coop, [solution]
     noise_term, second_moment = _moment_tables(model)
     power = np.broadcast_to(noise_term[None, :, None], (1, n, n))
     columns, ok = solve_local_columns(topology, second_moment[None], power)
@@ -383,50 +392,24 @@ def build_centralized_qp(
 
 
 def solve_p1(
-    model: SignalModel,
-    topology: ClusteredTopology,
-    combine: np.ndarray,
-    tol: float = KKT_TOL,
-    max_iters: int = 100_000,
+    model: SignalModel, topology: ClusteredTopology, combine: np.ndarray
 ) -> tuple[np.ndarray, QPSolution]:
-    """Solve the centralized program by accelerated projected gradient.
+    """Solve the centralized program exactly by the active-set method.
 
-    Columns are projected independently onto their support simplices.
-    The returned certificate carries the worst per-column KKT residual.
+    The unknowns are the cooperation entries on the supports, grouped by
+    column, with ``Q[(l, k), (m, j)] = coupling[k, j] curvature[l, m]`` and
+    ``lin[(l, k)] = (cross coupling)[l, k]``; the identity cooperation is
+    the starting vertex. The certificate carries the worst per-column KKT
+    residual and the active-set iterations.
     """
     qp = build_centralized_qp(model, topology, combine)
-    mask = qp.support_mask
-    columns = [np.flatnonzero(mask[:, k]) for k in range(topology.n_nodes)]
-
-    lipschitz = 2.0 * float(np.linalg.eigvalsh(qp.coupling)[-1]) * float(
-        np.linalg.eigvalsh(qp.curvature)[-1]
-    )
-    step = 1.0 / max(lipschitz, EPS_RIDGE)
-
-    def certificate(point: np.ndarray) -> float:
-        grad_now = qp.gradient(point)
-        return max(kkt_residual(point[idx, k], grad_now[idx, k]) for k, idx in enumerate(columns))
-
-    coop = project_simplex(np.where(mask, 1.0, 0.0).T, mask.T).T
-    momentum = coop.copy()
-    t = 1.0
-    residual = float("inf")
-    iterations = 0
-    check_every = 25
-    for iterations in range(1, max_iters + 1):
-        grad = qp.gradient(momentum)
-        coop_next = project_simplex((momentum - step * grad).T, mask.T).T
-        if np.vdot(momentum - coop_next, coop_next - coop) > 0.0:
-            t = 1.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        momentum = coop_next + ((t - 1.0) / t_next) * (coop_next - coop)
-        coop = coop_next
-        t = t_next
-        if iterations % check_every == 0 or iterations == max_iters:
-            residual = certificate(coop)
-            if residual <= tol:
-                break
-    if not np.isfinite(residual):
-        residual = certificate(coop)
-    solution = QPSolution(coop, qp.objective(coop), residual, iterations, residual <= tol)
-    return coop, solution
+    cols, rows = np.nonzero(qp.support_mask.T)  # entries column by column
+    quad = qp.coupling[np.ix_(cols, cols)] * qp.curvature[np.ix_(rows, rows)]
+    lin = (qp.cross @ qp.coupling)[rows, cols]
+    q, ok, iterations = _active_set(quad[None], lin[None], cols, (rows == cols)[None])
+    grad = 2.0 * (quad @ q[0] - lin)
+    residual = max(kkt_residual(q[0, cols == k], grad[cols == k]) for k in range(topology.n_nodes))
+    coop = np.zeros(qp.support_mask.shape)
+    coop[rows, cols] = q[0]
+    certified = bool(ok[0]) and residual <= KKT_TOL
+    return coop, QPSolution(coop, qp.objective(coop), residual, iterations, certified)

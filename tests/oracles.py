@@ -11,11 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from maicnet import weight_opt
 from maicnet.signal_model import SignalModel, _psd_sqrt
 from maicnet.strategies import StrategyState, adapt, intra_cluster_combine, row_dot
 from maicnet.theory import SIZE_CAP, _stack_block_diag, spectral_radius, step_size_matrix
 from maicnet.topology import ClusteredTopology, kron_expand
-from maicnet.weight_opt import EPS_RIDGE, project_simplex
+from maicnet.weight_opt import (
+    EPS_RIDGE,
+    KKT_TOL,
+    QPSolution,
+    build_centralized_qp,
+    kkt_residual,
+    project_simplex,
+)
 
 
 def simplex_grid(n: int, resolution: float = 1e-3) -> np.ndarray:
@@ -558,6 +566,57 @@ def solve_learned_columns_loop(
     state.fallback_count += fallbacks
     state.increment_power = flat_power.reshape(batch_shape + (n, n))
     return learned.reshape(batch_shape + (n, n))
+
+
+def solve_p1_fista(
+    model: SignalModel,
+    topology: ClusteredTopology,
+    combine: np.ndarray,
+    tol: float = KKT_TOL,
+    max_iters: int = 100_000,
+) -> tuple[np.ndarray, QPSolution]:
+    """Solve the centralized program by accelerated projected gradient.
+
+    Columns are projected independently onto their support simplices by
+    ``weight_opt.project_simplex``, looked up at call time. The returned
+    certificate carries the worst per-column KKT residual.
+    """
+    qp = build_centralized_qp(model, topology, combine)
+    mask = qp.support_mask
+    columns = [np.flatnonzero(mask[:, k]) for k in range(topology.n_nodes)]
+
+    lipschitz = 2.0 * float(np.linalg.eigvalsh(qp.coupling)[-1]) * float(
+        np.linalg.eigvalsh(qp.curvature)[-1]
+    )
+    step = 1.0 / max(lipschitz, EPS_RIDGE)
+
+    def certificate(point: np.ndarray) -> float:
+        grad_now = qp.gradient(point)
+        return max(kkt_residual(point[idx, k], grad_now[idx, k]) for k, idx in enumerate(columns))
+
+    coop = weight_opt.project_simplex(np.where(mask, 1.0, 0.0).T, mask.T).T
+    momentum = coop.copy()
+    t = 1.0
+    residual = float("inf")
+    iterations = 0
+    check_every = 25
+    for iterations in range(1, max_iters + 1):
+        grad = qp.gradient(momentum)
+        coop_next = weight_opt.project_simplex((momentum - step * grad).T, mask.T).T
+        if np.vdot(momentum - coop_next, coop_next - coop) > 0.0:
+            t = 1.0
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        momentum = coop_next + ((t - 1.0) / t_next) * (coop_next - coop)
+        coop = coop_next
+        t = t_next
+        if iterations % check_every == 0 or iterations == max_iters:
+            residual = certificate(coop)
+            if residual <= tol:
+                break
+    if not np.isfinite(residual):
+        residual = certificate(coop)
+    solution = QPSolution(coop, qp.objective(coop), residual, iterations, residual <= tol)
+    return coop, solution
 
 
 def centralized_objective_expanded(

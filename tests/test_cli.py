@@ -318,6 +318,10 @@ class TestSimulate:
              "segment 0 gamma[1][1] must be finite, got inf"),
             ("a", ("strategies",), ["atc", "maic-p1", "atc"],
              "strategies are listed more than once: ['atc']"),
+            ("a", ("strategies",), [], "scenario strategies must name at least one strategy"),
+            ("a", ("alpha",), 2.0, "alpha must lie in [0, 1], got 2.0"),
+            ("a", ("reg_power", 0), 0.0, "reg_power[0] must be positive, got 0.0"),
+            ("a", ("master_seed",), -1, "master_seed must be non-negative, got -1"),
         ],
     )
     def test_malformed_scenario_file_fails_with_one_error_line(
@@ -362,18 +366,19 @@ class TestSimulate:
         assert code == 1
         assert "error:" in err
 
-    def test_adaptive_rule_on_a_large_support_fails_cleanly(self, capsys, tmp_path):
+    def test_adaptive_rule_runs_on_a_large_support(self, capsys, tmp_path):
         spec = star_scenario(tmp_path / "star.json", ("atc",))
+        out_dir = tmp_path / "sim"
         code, out, err = run_cli(
-            capsys, "simulate", "--scenario", str(spec), "--strategies", "maic-adaptive",
-            "--out", str(tmp_path / "sim"),
+            capsys, "simulate", "--scenario", str(spec), "--strategies", "maic-adaptive,atc",
+            "--out", str(out_dir),
         )
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: node 0 has 12 nodes in its inter-cluster support")
+        assert code == 0, err
+        assert err == ""
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["strategies"]["maic-adaptive"]["qp_fallbacks"] == 0
 
-    def test_p2_on_a_large_support_falls_back(self, capsys, tmp_path):
+    def test_p2_on_a_large_support_is_certified(self, capsys, tmp_path):
         spec = star_scenario(tmp_path / "star.json", ("atc",))
         out_dir = tmp_path / "sim"
         code, out, err = run_cli(

@@ -22,7 +22,7 @@ from maicnet.harness import (
     msd_gain_se,
     run_scenario,
 )
-from maicnet.signal_model import SignalModel, sample_parameters
+from maicnet.signal_model import SignalModel, draw_noises, draw_regressors, sample_parameters
 from maicnet.topology import (
     ClusteredTopology,
     averaging_rule_weights,
@@ -197,6 +197,22 @@ class TestMalformedScenarios:
     def test_repeated_strategies_are_listed(self):
         with pytest.raises(ValueError, match=r"listed more than once: \['atc', 'maic-p1'\]"):
             small("a", strategies=("maic-p1", "atc", "mdlms-averaging", "atc", "maic-p1"))
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("strategies", [], "scenario strategies must name at least one strategy"),
+            ("alpha", 2.0, r"alpha must lie in \[0, 1\], got 2.0"),
+            ("reg_power", [1.0] * 3 + [0.0] + [1.0] * 6, r"reg_power\[3\] must be positive, got 0.0"),
+            ("master_seed", -1, "master_seed must be non-negative, got -1"),
+        ],
+    )
+    def test_values_outside_their_domain_are_named(self, key, value, match):
+        # each of these once ended in a traceback, a numerical error or a silent run
+        data = _scenario_json("a")
+        data[key] = value
+        with pytest.raises(ValueError, match=match):
+            Scenario.from_dict(data)
 
     def test_large_seeds_stay_exact_and_huge_floats_are_named(self):
         data = _scenario_json("a")
@@ -645,9 +661,9 @@ class TestPresets:
 
 class TestSimulationHotPath:
     def test_one_einsum_per_segment(self, monkeypatch):
-        # only the responses of each segment are an einsum (in place, for the
-        # chunk's memory peak); short-axis einsums elsewhere run one tiny loop
-        # per output element
+        # no einsum at all: the responses are noise plus a row_dot signal added
+        # step by step, and a short-axis einsum runs one tiny loop per output
+        # element
         scenario = small("a", runs=3, iterations=20)
         compiled = harness.compile_scenario(scenario)
         assert {plan.kind for plan in compiled.plans} == {"fixed", "mdlms", "adaptive"}
@@ -657,15 +673,26 @@ class TestSimulationHotPath:
             np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs)
         )
         harness._simulate_chunk(compiled, 0, 3)
-        assert len(calls) <= len(scenario.segments)
+        assert calls == []
 
     def test_draws_are_time_major(self):
-        compiled = harness.compile_scenario(small("a", runs=3, iterations=20))
-        w_true, regressors, noises, responses, _ = harness._draw_chunk(compiled, 0, 3)
-        assert regressors.shape == (20, 3, 10, 2) and noises.shape == responses.shape == (20, 3, 10)
-        for j in range(3):
-            expected = (regressors[:, j] * w_true[j, 0]).sum(axis=-1) + noises[:, j]
-            assert np.array_equal(responses[:, j], expected)
+        # each run rebuilt from its own substream, in the contract's draw order
+        scenario = small("nonstationary", runs=3, iterations=800)
+        compiled = harness.compile_scenario(scenario)
+        w_true, regressors, noises, responses, digests = harness._draw_chunk(compiled, 1, 3)
+        assert regressors.shape == (800, 2, 10, 2) and responses.shape == (800, 2, 10)
+        assert noises is responses  # no separate noise array
+        for j in range(2):
+            rng = np.random.default_rng(np.random.SeedSequence((scenario.master_seed, 1 + j)))
+            params = np.stack([sample_parameters(model, rng) for model in compiled.models])
+            run_regressors = draw_regressors(compiled.models[0], 800, rng)
+            run_noises = draw_noises(compiled.models[0], 800, rng)
+            signal = (run_regressors * params[compiled.segment_of]).sum(axis=-1)
+            assert np.array_equal(w_true[j], params)
+            assert np.array_equal(regressors[:, j], run_regressors)
+            assert np.array_equal(responses[:, j], run_noises + signal)
+            digest = hashlib.sha256(params.tobytes() + run_regressors.tobytes() + run_noises.tobytes())
+            assert digests[j] == digest.digest()
 
 
 class TestCallTimeLookups:
