@@ -407,9 +407,12 @@ def solve_p1(
     quad = qp.coupling[np.ix_(cols, cols)] * qp.curvature[np.ix_(rows, rows)]
     lin = (qp.cross @ qp.coupling)[rows, cols]
     q, ok, iterations = _active_set(quad[None], lin[None], cols, (rows == cols)[None])
-    grad = 2.0 * (quad @ q[0] - lin)
-    residual = max(kkt_residual(q[0, cols == k], grad[cols == k]) for k in range(topology.n_nodes))
     coop = np.zeros(qp.support_mask.shape)
     coop[rows, cols] = q[0]
+    # certified from the matrix-form gradient, independently of the assembly above
+    grad = qp.gradient(coop)
+    residual = max(
+        kkt_residual(coop[idx, k], grad[idx, k]) for k, idx in enumerate(qp.support_mask.T)
+    )
     certified = bool(ok[0]) and residual <= KKT_TOL
     return coop, QPSolution(coop, qp.objective(coop), residual, iterations, certified)

@@ -420,6 +420,18 @@ class TestSolver:
             quad, lin, 0.0, weights, ok, expected_weights, expected_ok, support_scale=False
         )
 
+    def test_flat_edge_breaks_the_tie_at_the_first_vertex(self):
+        # instance 1 is exactly flat along the edge, so every point of it is a
+        # minimum and the closed form keeps the first vertex
+        quad = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
+        lin = np.array([[1.0, 0.8], [0.5, 0.5]])
+        closed, closed_ok = solve_simplex_qp_batch(quad, lin, ridge=0.0)
+        assert closed_ok.all()
+        assert closed[1].tolist() == [1.0, 0.0]
+        assert closed[0].min() > 0.0
+        expected_weights, _ = solve_simplex_qp_batch_loop(quad, lin, ridge=0.0)
+        assert np.allclose(closed[0], expected_weights[0])
+
     def test_nearly_singular_faces_follow_the_flat_direction(self):
         # rank one in decimal data: the three-node faces are singular only up
         # to rounding, so their solve returns a huge point of arbitrary sign
@@ -581,7 +593,12 @@ class TestPresetPrograms:
             _, reference = solve_p1_fista(model, topology, combine)
             assert reference.certified
             assert solution.objective <= reference.objective + 1e-12
-            assert solution.objective == pytest.approx(qp.objective(coop), rel=1e-15)
+            # stationarity from the matrix-form gradient, not the stacked program
+            grad = qp.gradient(coop)
+            for k in range(topology.n_nodes):
+                support = qp.support_mask[:, k]
+                assert kkt_residual(coop[support, k], grad[support, k]) <= 1e-12
+            assert np.all(coop[~qp.support_mask] == 0.0)
             # P2's closed forms eliminate on nearly flat programs (the noise terms
             # are 1e-4 of the moments): their residuals reach 1.6e-12 of the
             # moments' scale on preset b
