@@ -411,8 +411,6 @@ def solve_p1(
     coop[rows, cols] = q[0]
     # certified from the matrix-form gradient, independently of the assembly above
     grad = qp.gradient(coop)
-    residual = max(
-        kkt_residual(coop[idx, k], grad[idx, k]) for k, idx in enumerate(qp.support_mask.T)
-    )
+    residual = max(kkt_residual(coop[i, k], grad[i, k]) for k, i in enumerate(qp.support_mask.T))
     certified = bool(ok[0]) and residual <= KKT_TOL
     return coop, QPSolution(coop, qp.objective(coop), residual, iterations, certified)
