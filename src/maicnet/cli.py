@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness, presets
-from .topology import averaging_rule_weights, validate_column_stochastic
+from .topology import averaging_rule_weights
 
 
 def _load_scenario(spec: str, **overrides) -> harness.Scenario:
@@ -44,29 +44,25 @@ def _cmd_topology_inspect(args) -> int:
     top = compiled.topology
     combine = compiled.combine
     rho = averaging_rule_weights(top)
-    validate_column_stochastic(combine, top.intra_mask(), what="combine matrix")
+    inter = top.adjacency & ~top.intra
+    groups = {"neighbors": top.adjacency, "intra": top.intra, "inter": inter,
+              "inter_plus": top.inter_plus}
     report = {
         "n_nodes": top.n_nodes,
         "n_clusters": top.n_clusters,
-        "clusters": [list(top.cluster_members(p)) for p in range(top.n_clusters)],
+        "clusters": [np.flatnonzero(top.cluster_of == p).tolist() for p in range(top.n_clusters)],
         "nodes": [
-            {
-                "node": k,
-                "cluster": int(top.cluster_of[k]),
-                "neighbors": list(top.neighbors[k]),
-                "intra": list(top.intra[k]),
-                "inter": list(top.inter[k]),
-                "inter_plus": list(top.inter_plus[k]),
-            }
+            {"node": k, "cluster": int(top.cluster_of[k]),
+             **{name: np.flatnonzero(mask[:, k]).tolist() for name, mask in groups.items()}}
             for k in range(top.n_nodes)
         ],
         "combine_doubly_stochastic": bool(
             np.allclose(combine.sum(axis=1), 1.0, atol=1e-12)
             and np.allclose(combine.sum(axis=0), 1.0, atol=1e-12)
         ),
-        "averaging_rule_zero_columns": [
-            k for k in range(top.n_nodes) if not top.inter[k] and not rho[:, k].any()
-        ],
+        "averaging_rule_zero_columns": np.flatnonzero(
+            ~inter.any(axis=0) & ~rho.any(axis=0)
+        ).tolist(),
     }
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -301,7 +301,7 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         scenario.n_nodes, scenario.edges, scenario.cluster_of
     )
     combine = metropolis_weights(topology)
-    validate_column_stochastic(combine, topology.intra_mask(), what="combine matrix")
+    validate_column_stochastic(combine, topology.intra, what="combine matrix")
 
     if scenario.noise_var is not None:
         noise_var = np.asarray(scenario.noise_var, dtype=float)
@@ -325,7 +325,6 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         for segment in scenario.segments
     )
 
-    coop_mask = topology.inter_plus_mask()
     plans = []
     for name in scenario.strategies:
         kind, cooperation = STRATEGY_TABLE[name]
@@ -333,7 +332,9 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         if kind == "fixed":
             coops, certs = zip(*(cooperation(scenario, topology, combine, m) for m in models))
             for coop in coops:
-                validate_column_stochastic(coop, coop_mask, what=f"{name} cooperation matrix")
+                validate_column_stochastic(
+                    coop, topology.inter_plus, what=f"{name} cooperation matrix"
+                )
             reports = tuple(theory.analyze(combine, c, m) for c, m in zip(coops, models))
             weights = np.stack(coops)
             certificates = None if certs[0] is None else certs
@@ -440,19 +441,18 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
                 frozen = True
             if frozen:
                 # aborted runs restart from zero each step, so their values
-                # stay finite and never reach the sums or the solvers
+                # stay finite, add nothing to the sums and never reach the solvers
                 dead = ~alive
                 state.weights[dead] = 0.0
                 if state.increment_power is not None:
                     state.increment_power[dead] = 0.0
                 err[dead] = 0.0
                 net[dead] = 0.0
-            masked = err * alive[:, None]
-            err_sum[t] = masked.sum(axis=0)
+            err_sum[t] = err.sum(axis=0)
             counts[t] = int(alive.sum())
             if t >= window_start:
-                window_net += net * alive
-                window_cluster += masked @ compiled.membership
+                window_net += net
+                window_cluster += err @ compiled.membership
 
         aborted = aborted_at >= 0
         run_steady = window_net / (window_len * n)
@@ -534,8 +534,9 @@ class MsdCurve:
 
 
 def msd_gain(curve: MsdCurve, baseline: MsdCurve) -> float:
-    """Steady-state improvement of ``curve`` over ``baseline`` in decibels."""
-    return baseline.steady_state_db() - curve.steady_state_db()
+    """Steady-state improvement of ``curve`` over ``baseline`` in decibels,
+    from the runs valid in both, as ``summary.json`` records it."""
+    return msd_gain_se(curve, baseline)[0]
 
 
 def msd_gain_se(curve: MsdCurve, baseline: MsdCurve) -> tuple[float, float]:

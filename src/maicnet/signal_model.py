@@ -30,7 +30,7 @@ def _psd_sqrt(matrix: np.ndarray, what: str) -> np.ndarray:
     eigval, eigvec = np.linalg.eigh(matrix)
     floor = -PSD_CLIP_TOL * max(1.0, float(eigval.max(initial=0.0)))
     if eigval.min() < floor:
-        raise ValueError(f"{what} is not positive semidefinite, min eigenvalue {eigval.min()!r}")
+        raise ValueError(f"{what} is not positive semidefinite, min eigenvalue {float(eigval.min())}")
     return (eigvec * np.sqrt(np.clip(eigval, 0.0, None))) @ eigvec.T
 
 
@@ -213,7 +213,7 @@ def parameter_moments_from_correlation(
     if eigval.min() < -PSD_CLIP_TOL * max(1.0, float(eigval.max(initial=0.0))):
         raise ValueError(
             f"parameter covariance is not positive semidefinite, "
-            f"most negative eigenvalue {eigval.min()!r}"
+            f"most negative eigenvalue {float(eigval.min())}"
         )
 
     return cluster_means, np.kron(cluster_cov, np.eye(dim))

@@ -169,8 +169,9 @@ def _solve_learned_columns(
     flat_psi = psi.reshape(-1, n, dim)
 
     # Smoothed squared distance between each adapted iterate and the
-    # receiving node's previous iterate, tracked on neighborhood pairs.
-    senders, receivers = np.nonzero(topology.adjacency)
+    # receiving node's previous iterate, tracked on the cooperation-support
+    # pairs, the only ones the local programs read.
+    senders, receivers = np.nonzero(topology.inter_plus)
     increment = flat_psi[:, senders] - flat_w[:, receivers]
     flat_power = state.increment_power.reshape(-1, n, n)
     flat_power[:, senders, receivers] = (

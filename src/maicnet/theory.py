@@ -148,7 +148,7 @@ def msd_forcing_terms(
 def _forcing_terms(model: SignalModel, lift, rho: float) -> ForcingTerms:
     """``msd_forcing_terms`` from a ``_lift`` and its transition's spectral radius."""
     if rho >= 1.0:
-        raise ValueError(f"mean-unstable configuration, spectral radius {rho!r}")
+        raise ValueError(f"mean-unstable configuration, spectral radius {float(rho)}")
     big_combine, big_coop, transition = lift
     identity = np.eye(transition.shape[0])
     mu = step_size_matrix(model)
@@ -195,7 +195,7 @@ def solve_stein(transition: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     residual = solution - transition.T @ solution @ transition - rhs
     residual = np.linalg.norm(residual) / np.linalg.norm(rhs)
     if residual > SOLVE_RESIDUAL_TOL:
-        raise ArithmeticError(f"variance solve residual {residual!r} exceeds tolerance")
+        raise ArithmeticError(f"variance solve residual {float(residual)} exceeds tolerance")
     return solution
 
 
@@ -220,7 +220,7 @@ def _steady_state_msd(model: SignalModel, lift, rho: float, per_cluster: bool):
     """``steady_state_msd`` from a ``_lift`` and its transition's spectral radius."""
     rho_variance = rho**2
     if rho_variance >= 1.0:
-        raise ValueError(f"mean-square-unstable configuration, variance radius {rho_variance!r}")
+        raise ValueError(f"mean-square-unstable configuration, variance radius {float(rho_variance)}")
     terms = _forcing_terms(model, lift, rho)
     transition = lift[2]
 

@@ -4,8 +4,8 @@ A clustered topology is an undirected connected graph whose node set is
 partitioned into clusters. Every node k sees three neighbor groups:
 
 * its full neighborhood (k itself always included),
-* the intra-cluster part, used by the combine step,
-* the inter-cluster part, used by the cooperation step.
+* the intra-cluster part (k included), used by the combine step,
+* the inter-cluster part plus k itself, used by the cooperation step.
 
 All weight matrices built here follow the column convention: entry
 ``W[l, k]`` is the weight node k applies to information received from
@@ -67,19 +67,21 @@ class ClusteredTopology:
         Integer array of length N assigning each node to a cluster.
         Labels must be 0..P-1 with every label used at least once.
 
-    Instances are immutable once validated. Neighbor groups are derived
-    eagerly and exposed as tuples of sorted node indices.
-    ``inter_plus_groups`` sorts the nodes by the size of their
-    ``inter_plus`` group: one ``(nodes, supports)`` pair per size, in
-    increasing size, with ``supports[g]`` the group of ``nodes[g]``.
+    Instances are immutable once validated. Two read-only boolean (N, N)
+    masks in the column convention (entry ``[l, k]`` is node k's view of
+    node l) hold the neighbor structure: ``intra`` marks the intra-cluster
+    neighbors that the combine step mixes over, and ``inter_plus`` the
+    inter-cluster neighbors plus the node itself that the cooperation step
+    mixes over. They overlap on the diagonal only, and their union is the
+    adjacency. ``inter_plus_groups`` sorts the nodes by the size of their
+    ``inter_plus`` column: one ``(nodes, supports)`` pair per size, in
+    increasing size, with ``supports[g]`` the sorted support of ``nodes[g]``.
     """
 
     adjacency: np.ndarray
     cluster_of: np.ndarray
-    neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    intra: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    inter: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    inter_plus: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    intra: np.ndarray = field(init=False, repr=False)
+    inter_plus: np.ndarray = field(init=False, repr=False)
     inter_plus_groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
         init=False, repr=False
     )
@@ -113,33 +115,23 @@ class ClusteredTopology:
                 f"cluster labels must be contiguous 0..P-1 with none empty, got {labels.tolist()}"
             )
 
-        neighbors = []
-        intra = []
-        inter = []
-        inter_plus = []
-        for k in range(n):
-            hood = np.flatnonzero(adjacency[:, k])
-            same = cluster_of[hood] == cluster_of[k]
-            neighbors.append(tuple(int(j) for j in hood))
-            intra.append(tuple(int(j) for j in hood[same]))
-            inter.append(tuple(int(j) for j in hood[~same]))
-            inter_plus.append(tuple(sorted(set(hood[~same].tolist()) | {k})))
+        same = cluster_of[:, None] == cluster_of[None, :]
+        intra = adjacency & same
+        inter_plus = (adjacency & ~same) | np.eye(n, dtype=bool)
+        sizes = inter_plus.sum(axis=0)
         groups = []
-        for size in sorted({len(group) for group in inter_plus}):
-            nodes = np.array([k for k in range(n) if len(inter_plus[k]) == size])
-            supports = np.array([inter_plus[k] for k in nodes])
-            nodes.flags.writeable = False
-            supports.flags.writeable = False
+        for size in np.unique(sizes):
+            nodes = np.flatnonzero(sizes == size)
+            supports = np.nonzero(inter_plus[:, nodes].T)[1].reshape(nodes.size, size)
+            nodes.flags.writeable = supports.flags.writeable = False
             groups.append((nodes, supports))
 
-        adjacency.flags.writeable = False
-        cluster_of.flags.writeable = False
+        for array in (adjacency, cluster_of, intra, inter_plus):
+            array.flags.writeable = False
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "cluster_of", cluster_of)
-        object.__setattr__(self, "neighbors", tuple(neighbors))
-        object.__setattr__(self, "intra", tuple(intra))
-        object.__setattr__(self, "inter", tuple(inter))
-        object.__setattr__(self, "inter_plus", tuple(inter_plus))
+        object.__setattr__(self, "intra", intra)
+        object.__setattr__(self, "inter_plus", inter_plus)
         object.__setattr__(self, "inter_plus_groups", tuple(groups))
 
         for p in range(len(labels)):
@@ -175,23 +167,6 @@ class ClusteredTopology:
     def n_clusters(self) -> int:
         return int(self.cluster_of.max()) + 1
 
-    def cluster_members(self, p: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(self.cluster_of == p))
-
-    def intra_mask(self) -> np.ndarray:
-        """Boolean (N, N) mask of the intra-cluster support, column convention."""
-        mask = np.zeros_like(self.adjacency)
-        for k, group in enumerate(self.intra):
-            mask[list(group), k] = True
-        return mask
-
-    def inter_plus_mask(self) -> np.ndarray:
-        """Boolean (N, N) mask of the cooperation support (inter neighbors plus self)."""
-        mask = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
-        for k, group in enumerate(self.inter_plus):
-            mask[list(group), k] = True
-        return mask
-
 
 def validate_column_stochastic(
     weights: np.ndarray,
@@ -217,7 +192,7 @@ def validate_column_stochastic(
     bad = np.abs(sums - 1.0) > tol
     if bad.any():
         col = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"{what} column {col} sums to {sums[col]!r}, expected 1")
+        raise ValueError(f"{what} column {col} sums to {float(sums[col])}, expected 1")
 
 
 def metropolis_weights(topology: ClusteredTopology) -> np.ndarray:
@@ -227,14 +202,12 @@ def metropolis_weights(topology: ClusteredTopology) -> np.ndarray:
     intra-neighborhood sizes (self included); each diagonal entry absorbs
     the remainder of its column.
     """
-    n = topology.n_nodes
-    sizes = [len(group) for group in topology.intra]
-    weights = np.zeros((n, n))
-    for k in range(n):
-        for l in topology.intra[k]:
-            if l != k:
-                weights[l, k] = 1.0 / max(sizes[k], sizes[l])
-        weights[k, k] = 1.0 - weights[:, k].sum()
+    intra = topology.intra
+    sizes = intra.sum(axis=0)
+    off = intra & ~np.eye(topology.n_nodes, dtype=bool)
+    weights = np.where(off, 1.0 / np.maximum.outer(sizes, sizes), 0.0)
+    # symmetric, so the contiguous row sums are the column sums, added in the same order
+    np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))
     return weights
 
 
@@ -243,13 +216,8 @@ def averaging_rule_weights(topology: ClusteredTopology) -> np.ndarray:
 
     Column k is zero when node k has no inter-cluster neighbor.
     """
-    n = topology.n_nodes
-    rho = np.zeros((n, n))
-    for k in range(n):
-        group = topology.inter[k]
-        if group:
-            rho[list(group), k] = 1.0 / len(group)
-    return rho
+    inter = topology.adjacency & ~topology.intra
+    return np.where(inter, 1.0 / np.maximum(inter.sum(axis=0), 1), 0.0)
 
 
 def cooperation_from_regularizer(
@@ -265,22 +233,18 @@ def cooperation_from_regularizer(
     diagonal must stay nonnegative, which bounds how aggressive the
     regularizer translation can be for a given step size.
     """
-    n = topology.n_nodes
-    mu = np.broadcast_to(np.asarray(step_sizes, dtype=float), (n,))
-    rho = np.asarray(rho, dtype=float)
-    coop = np.zeros((n, n))
-    for k in range(n):
-        group = list(topology.inter[k])
-        total = 0.0
-        for l in group:
-            coop[l, k] = mu[k] * eta * rho[l, k]
-            total += rho[l, k]
-        coop[k, k] = 1.0 - mu[k] * eta * total
-        if coop[k, k] < 0.0:
-            raise ValueError(
-                f"cooperation diagonal for node {k} is {coop[k, k]!r}; "
-                "reduce eta or the step size"
-            )
+    scale = np.broadcast_to(np.asarray(step_sizes, dtype=float), (topology.n_nodes,)) * eta
+    rho = np.where(topology.adjacency & ~topology.intra, np.asarray(rho, dtype=float), 0.0)
+    coop = scale * rho
+    diagonal = 1.0 - scale * rho.sum(axis=0)
+    negative = np.flatnonzero(diagonal < 0.0)
+    if negative.size:
+        k = negative[0]
+        raise ValueError(
+            f"cooperation diagonal for node {k} is {float(diagonal[k])}; "
+            "reduce eta or the step size"
+        )
+    np.fill_diagonal(coop, diagonal)
     return coop
 
 

@@ -344,8 +344,8 @@ def solve_p2_all_nodes(
     half_grad = (np.diag(noise_term) + second_moment) @ coop - second_moment
     objective = np.einsum("lk,lk->k", coop, half_grad - second_moment)
     solutions = []
-    for k, support in enumerate(topology.inter_plus):
-        q, grad = coop[list(support), k], 2.0 * half_grad[list(support), k]
+    for k, support in enumerate(topology.inter_plus.T):
+        q, grad = coop[support, k], 2.0 * half_grad[support, k]
         residual = kkt_residual(q, grad)
         certified = bool(ok[0, k]) and residual <= KKT_TOL
         solutions.append(QPSolution(q, float(objective[k]), residual, 0, certified))
@@ -387,7 +387,7 @@ def build_centralized_qp(
         coupling=coupling,
         curvature=curvature,
         cross=second_moment,
-        support_mask=topology.inter_plus_mask(),
+        support_mask=topology.inter_plus,
     )
 
 

@@ -91,6 +91,66 @@ def neighbor_sets(n_nodes, edges, cluster_of):
     return neighbors, intra, inter, inter_plus
 
 
+def neighbor_lists(topology: ClusteredTopology):
+    """``(intra, inter, inter_plus)`` of a built topology as per-node sorted
+    lists, rebuilt by ``neighbor_sets`` from its edge list."""
+    n = topology.n_nodes
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if topology.adjacency[a, b]]
+    _, *families = neighbor_sets(n, edges, topology.cluster_of)
+    return tuple([sorted(family[k]) for k in range(n)] for family in families)
+
+
+def metropolis_weights_loop(topology: ClusteredTopology) -> np.ndarray:
+    """``topology.metropolis_weights`` node by node."""
+    intra, _, _ = neighbor_lists(topology)
+    n = topology.n_nodes
+    sizes = [len(group) for group in intra]
+    weights = np.zeros((n, n))
+    for k in range(n):
+        for l in intra[k]:
+            if l != k:
+                weights[l, k] = 1.0 / max(sizes[k], sizes[l])
+        weights[k, k] = 1.0 - weights[:, k].sum()
+    return weights
+
+
+def averaging_rule_weights_loop(topology: ClusteredTopology) -> np.ndarray:
+    """``topology.averaging_rule_weights`` node by node."""
+    _, inter, _ = neighbor_lists(topology)
+    n = topology.n_nodes
+    rho = np.zeros((n, n))
+    for k in range(n):
+        group = inter[k]
+        if group:
+            rho[list(group), k] = 1.0 / len(group)
+    return rho
+
+
+def cooperation_from_regularizer_loop(
+    topology: ClusteredTopology, rho: np.ndarray, eta: float, step_sizes
+) -> np.ndarray:
+    """``topology.cooperation_from_regularizer`` node by node, with the same
+    error on the first node whose diagonal turns negative."""
+    _, inter, _ = neighbor_lists(topology)
+    n = topology.n_nodes
+    mu = np.broadcast_to(np.asarray(step_sizes, dtype=float), (n,))
+    rho = np.asarray(rho, dtype=float)
+    coop = np.zeros((n, n))
+    for k in range(n):
+        group = list(inter[k])
+        total = 0.0
+        for l in group:
+            coop[l, k] = mu[k] * eta * rho[l, k]
+            total += rho[l, k]
+        coop[k, k] = 1.0 - mu[k] * eta * total
+        if coop[k, k] < 0.0:
+            raise ValueError(
+                f"cooperation diagonal for node {k} is {float(coop[k, k])}; "
+                "reduce eta or the step size"
+            )
+    return coop
+
+
 def expand_blocks(weights: np.ndarray, dim: int) -> np.ndarray:
     """Scalar weight matrix lifted to block-diagonal form, entry by entry."""
     n = weights.shape[0]
@@ -310,8 +370,7 @@ def random_cooperation(topology, rng: np.random.Generator) -> np.ndarray:
     """Random left-stochastic cooperation weights on the allowed support."""
     n = topology.n_nodes
     coop = np.zeros((n, n))
-    for k in range(n):
-        support = sorted(topology.inter_plus[k])
+    for k, support in enumerate(neighbor_lists(topology)[2]):
         draws = rng.random(len(support)) + 1e-3
         coop[support, k] = draws / draws.sum()
     return coop
@@ -501,7 +560,7 @@ def local_program(
     second-moment blocks; the linear term pairs each candidate with the
     node's own parameter.
     """
-    support = topology.inter_plus[node]
+    support = tuple(neighbor_lists(topology)[2][node])
     mu = model.uniform_step_size()
     dim = model.dim
     second = model.parameter_second_moment
@@ -533,19 +592,19 @@ def solve_learned_columns_loop(
     batch = flat_w.shape[0]
 
     # Smoothed squared distance between each adapted iterate and the
-    # receiving node's previous iterate, for every pair and then masked;
-    # moments come from the production contraction, so only grouping,
-    # scatter and fallbacks differ from the library route.
+    # receiving node's previous iterate, for every pair and then kept on
+    # each node's support; moments come from the production contraction,
+    # so only grouping, scatter and fallbacks differ from the library route.
     increment = flat_psi[:, :, None, :] - flat_w[:, None, :, :]
     sq_dist = row_dot(increment, increment)
     flat_power = state.increment_power.reshape(-1, n, n)
-    mask = topology.adjacency
-    flat_power[:, mask] = alpha * flat_power[:, mask] + (1.0 - alpha) * sq_dist[:, mask]
 
     learned = np.zeros((batch, n, n))
     fallbacks = 0
-    for k in range(n):
-        support = list(topology.inter_plus[k])
+    for k, support in enumerate(neighbor_lists(topology)[2]):
+        flat_power[:, support, k] = (
+            alpha * flat_power[:, support, k] + (1.0 - alpha) * sq_dist[:, support, k]
+        )
         size = len(support)
         if size == 1:
             learned[:, k, k] = 1.0

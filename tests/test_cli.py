@@ -158,6 +158,31 @@ class TestTheoryCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("eta",), 50.0, "cooperation diagonal for node 1 is -1.5; reduce eta"),
+            (("segments", 0, "gamma"), [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]],
+             "parameter covariance is not positive semidefinite, most negative eigenvalue -0.000"),
+        ],
+        ids=["cooperation-diagonal", "parameter-covariance"],
+    )
+    def test_errors_print_plain_numbers(self, capsys, tmp_path, path, value, message):
+        data = json.loads(json.dumps(presets.get_scenario("a", runs=2, iterations=20).to_dict()))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "theory", "--scenario", str(spec), "--strategy", "maic-averaging"
+        )
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+        assert "np.float64" not in err
+
 
 class TestOptimizeWeights:
     def test_p2_writes_weights_and_certificate(self, capsys, tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from maicnet import harness, presets, strategies, theory, weight_opt
 from maicnet.harness import (
     KNOWN_STRATEGIES,
+    MsdCurve,
     Scenario,
     compile_scenario,
     msd_gain,
@@ -500,6 +501,22 @@ class TestCurveStatistics:
         assert np.isfinite(gain) and se > 0
         naive = np.hypot(atc.steady_se_db(), p2.steady_se_db())
         assert se <= naive * 1.5  # paired runs share their draws
+
+    def test_gain_pairs_the_runs_valid_in_both(self):
+        def curve(run_steady):
+            run_steady = np.array(run_steady)
+            return MsdCurve(
+                network=np.ones(4), per_cluster=np.ones((4, 1)), counts=np.full(4, 3),
+                run_steady=run_steady, run_cluster_steady=run_steady[:, None], window_start=2,
+            )
+
+        candidate = curve([0.1, 0.2, 10.0])
+        baseline = curve([1.0, 2.0, np.nan])  # the baseline lost its third run
+        gain = msd_gain(candidate, baseline)
+        assert gain == msd_gain_se(candidate, baseline)[0]
+        assert gain == pytest.approx(10.0, abs=1e-12)
+        # averaging each curve over its own valid runs would count the third run
+        assert baseline.steady_state_db() - candidate.steady_state_db() != gain
 
 
 class TestDivergenceHandling:

@@ -320,7 +320,7 @@ class TestAdaptiveStep:
         mu = np.full(5, 0.1)
         state = init_state(5, 2, (3,), adaptive=True)
         rng = np.random.default_rng(11)
-        mask = top.inter_plus_mask()
+        mask = top.inter_plus
         for _ in range(6):
             u, d = _draw_inputs(rng, 5, 2, (3,))
             maic_adaptive_step(state, u, d, combine, top, 0.7, mu)
@@ -344,7 +344,7 @@ class TestAdaptiveStep:
             expected[k] = 1.0
             assert np.array_equal(column, expected)
 
-    def test_increment_power_is_smoothed_on_the_adjacency(self):
+    def test_increment_power_is_smoothed_on_the_support(self):
         top, combine = self._setup()
         mu = np.full(5, 0.1)
         alpha = 0.7
@@ -354,15 +354,21 @@ class TestAdaptiveStep:
         maic_adaptive_step(state, u, d, combine, top, alpha, mu)
         psi = adapt(w_before, u, d, mu)
         power = state.increment_power
+        # nodes 2 and 3 border each other; every other link is intra-cluster
+        assert np.count_nonzero(top.adjacency & ~top.intra) == 2
         for k in range(5):
             for l in range(5):
-                if top.adjacency[l, k]:
+                if top.inter_plus[l, k]:
                     expected = (1 - alpha) * float(
                         np.sum((psi[l] - w_before[k]) ** 2)
                     )
+                    assert expected > 0.0
                     assert np.isclose(power[l, k], expected, atol=1e-12)
                 else:
                     assert power[l, k] == 0.0
+        # the local programs never read intra-only pairs, so they are not tracked
+        intra_only = top.intra & ~top.inter_plus
+        assert intra_only.sum() == 6 and not power[intra_only].any()
 
     def test_increment_power_does_not_cancel(self, two_cluster_line):
         # iterates near 1e3 that move by 1e-3: a squared-norm expansion
@@ -373,7 +379,7 @@ class TestAdaptiveStep:
         state = init_state(4, 2, (3,), adaptive=True)
         state.weights = w
         _solve_learned_columns(state, psi, two_cluster_line, 0.0)
-        senders, receivers = np.nonzero(two_cluster_line.adjacency)
+        senders, receivers = np.nonzero(two_cluster_line.inter_plus)
         for b in range(3):
             for l, k in zip(senders, receivers):
                 exact = sum((Fraction(psi[b, l, m]) - Fraction(w[b, k, m])) ** 2 for m in range(2))
@@ -444,10 +450,10 @@ class TestGroupedColumns:
         flat_w = weights.reshape(-1, 8, 3)
         learned = learned.reshape(-1, 8, 8)
         failures = 0
-        for k, support in enumerate(top.inter_plus):
-            if len(support) == 1:
+        for k, support in enumerate(top.inter_plus.T):
+            if support.sum() == 1:
                 continue
-            lin = row_dot(flat_w[:, list(support)], flat_w[:, k, None])
+            lin = row_dot(flat_w[:, support], flat_w[:, k, None])
             failed = lin[:, 0] > lin[:, -1]
             own = np.zeros(8)
             own[k] = 1.0

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maicnet import presets
 from maicnet.topology import (
     ClusteredTopology,
     averaging_rule_weights,
@@ -15,13 +18,24 @@ from maicnet.topology import (
     metropolis_weights,
     validate_column_stochastic,
 )
-from oracles import neighbor_sets
+from oracles import (
+    averaging_rule_weights_loop,
+    cooperation_from_regularizer_loop,
+    metropolis_weights_loop,
+    neighbor_lists,
+    neighbor_sets,
+)
+
+
+def members(mask, k):
+    """The nodes in column k of a support mask."""
+    return set(np.flatnonzero(mask[:, k]).tolist())
 
 
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, max_nodes=7):
     """Random connected graph as (n, edges), single cluster assumed."""
-    n = draw(st.integers(min_value=2, max_value=7))
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
     order = draw(st.permutations(range(n)))
     edges = set()
     for i in range(1, n):
@@ -40,6 +54,19 @@ def connected_graphs(draw):
     return n, tuple(sorted(edges))
 
 
+@st.composite
+def clustered_topologies(draw):
+    """Random connected graph on up to 12 nodes split into 1-4 clusters."""
+    n, edges = draw(connected_graphs(max_nodes=12))
+    p = draw(st.integers(min_value=1, max_value=min(4, n)))
+    rest = draw(st.lists(st.integers(0, p - 1), min_size=n - p, max_size=n - p))
+    cluster_of = draw(st.permutations(list(range(p)) + rest))
+    with warnings.catch_warnings():
+        # random partitions often leave a cluster internally disconnected
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return ClusteredTopology.from_edges(n, edges, cluster_of)
+
+
 class TestConstruction:
     def test_from_edges_builds_symmetric_adjacency(self, two_cluster_line):
         top = two_cluster_line
@@ -54,22 +81,24 @@ class TestConstruction:
         neighbors, intra, inter, inter_plus = neighbor_sets(4, edges, clusters)
         top = two_cluster_line
         for k in range(4):
-            assert set(top.neighbors[k]) == neighbors[k]
-            assert set(top.intra[k]) == intra[k]
-            assert set(top.inter[k]) == inter[k]
-            assert set(top.inter_plus[k]) == inter_plus[k]
+            assert members(top.adjacency, k) == neighbors[k]
+            assert members(top.intra, k) == intra[k]
+            assert members(top.adjacency & ~top.intra, k) == inter[k]
+            assert members(top.inter_plus, k) == inter_plus[k]
 
     def test_cluster_members(self, two_cluster_line):
-        assert two_cluster_line.cluster_members(0) == (0, 1)
-        assert two_cluster_line.cluster_members(1) == (2, 3)
+        assert np.flatnonzero(two_cluster_line.cluster_of == 0).tolist() == [0, 1]
+        assert np.flatnonzero(two_cluster_line.cluster_of == 1).tolist() == [2, 3]
 
     def test_masks_partition_the_closed_neighborhood(self, two_cluster_line):
         top = two_cluster_line
-        intra = top.intra_mask()
-        inter_plus = top.inter_plus_mask()
+        intra = top.intra
+        inter_plus = top.inter_plus
         # intra and inter_plus overlap exactly on the diagonal
         assert np.array_equal(intra & inter_plus, np.eye(4, dtype=bool))
         assert np.array_equal(intra | inter_plus, top.adjacency)
+        for mask in (intra, inter_plus):
+            assert mask.dtype == bool and not mask.flags.writeable
 
     def test_inter_plus_groups_sort_nodes_by_support_size(self, singleton_chain):
         groups = [
@@ -119,10 +148,22 @@ class TestConstruction:
         top = ClusteredTopology.from_edges(n, edges, (0,) * n)
         neighbors, intra, inter, inter_plus = neighbor_sets(n, edges, (0,) * n)
         for k in range(n):
-            assert set(top.neighbors[k]) == neighbors[k]
-            assert set(top.intra[k]) == intra[k]
-            assert set(top.inter_plus[k]) == inter_plus[k]
+            assert members(top.adjacency, k) == neighbors[k]
+            assert members(top.intra, k) == intra[k]
+            assert members(top.inter_plus, k) == inter_plus[k]
             assert not inter[k]
+
+    @given(clustered_topologies())
+    @settings(max_examples=60, deadline=None)
+    def test_masks_agree_with_the_oracle_on_clustered_graphs(self, top):
+        intra, inter, inter_plus = neighbor_lists(top)
+        for k in range(top.n_nodes):
+            assert members(top.intra, k) == set(intra[k])
+            assert members(top.adjacency & ~top.intra, k) == set(inter[k])
+            assert members(top.inter_plus, k) == set(inter_plus[k])
+        for nodes, supports in top.inter_plus_groups:
+            for k, support in zip(nodes, supports):
+                assert support.tolist() == inter_plus[k]
 
 
 class TestMetropolis:
@@ -154,7 +195,7 @@ class TestMetropolis:
         assert np.allclose(combine.sum(axis=0), 1.0, atol=1e-12)
         assert np.allclose(combine.sum(axis=1), 1.0, atol=1e-12)
         assert combine.min() >= 0.0
-        validate_column_stochastic(combine, top.intra_mask(), what="combine matrix")
+        validate_column_stochastic(combine, top.intra, what="combine matrix")
 
 
 class TestAveragingRule:
@@ -191,7 +232,7 @@ class TestCooperationFromRegularizer:
             ]
         )
         assert np.allclose(coop, expected, atol=1e-15)
-        validate_column_stochastic(coop, singleton_chain.inter_plus_mask())
+        validate_column_stochastic(coop, singleton_chain.inter_plus)
 
     def test_excessive_strength_rejected(self, singleton_chain):
         rho = averaging_rule_weights(singleton_chain)
@@ -206,7 +247,47 @@ class TestCooperationFromRegularizer:
         chain = ClusteredTopology.from_edges(3, ((0, 1), (1, 2)), (0, 1, 2))
         rho = averaging_rule_weights(chain)
         coop = cooperation_from_regularizer(chain, rho, eta=eta, step_sizes=np.full(3, 0.1))
-        validate_column_stochastic(coop, chain.inter_plus_mask())
+        validate_column_stochastic(coop, chain.inter_plus)
+
+
+class TestLoopOracles:
+    """The three weight rules equal, bit for bit, their node-by-node versions."""
+
+    @staticmethod
+    def _assert_rules_match(top, rho, eta, step_sizes):
+        assert np.array_equal(metropolis_weights(top), metropolis_weights_loop(top))
+        assert np.array_equal(averaging_rule_weights(top), averaging_rule_weights_loop(top))
+        try:
+            expected = cooperation_from_regularizer_loop(top, rho, eta, step_sizes)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                cooperation_from_regularizer(top, rho, eta, step_sizes)
+            assert str(raised.value) == str(error)
+        else:
+            coop = cooperation_from_regularizer(top, rho, eta, step_sizes)
+            assert np.array_equal(coop, expected)
+
+    @given(
+        clustered_topologies(),
+        st.floats(min_value=0.0, max_value=30.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_clustered_graphs(self, top, eta, seed):
+        rng = np.random.default_rng(seed)
+        n = top.n_nodes
+        # entries off the inter-cluster support must be ignored, not read
+        rho = rng.random((n, n))
+        self._assert_rules_match(top, rho, eta, 0.01 + 0.1 * rng.random(n))
+        self._assert_rules_match(top, averaging_rule_weights(top), eta, 0.05)
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_every_preset(self, name):
+        scenario = presets.get_scenario(name)
+        top = ClusteredTopology.from_edges(scenario.n_nodes, scenario.edges, scenario.cluster_of)
+        rho = averaging_rule_weights(top)
+        self._assert_rules_match(top, rho, scenario.eta, scenario.step_size)
+        self._assert_rules_match(top, rho, 50.0, scenario.step_size)
 
 
 class TestValidation:

@@ -515,7 +515,7 @@ class TestLocalProgram:
     def test_p2_columns_live_on_the_support(self, two_cluster_line, line_model):
         coop, solutions = solve_p2_all_nodes(line_model, two_cluster_line)
         assert all(sol.certified and sol.iterations == 0 for sol in solutions)
-        mask = two_cluster_line.inter_plus_mask()
+        mask = two_cluster_line.inter_plus
         assert np.all(coop[~mask] == 0.0)
         assert np.allclose(coop.sum(axis=0), 1.0, atol=1e-9)
         assert coop.min() >= -1e-12
@@ -538,7 +538,8 @@ class TestLocalProgram:
         power = np.abs(np.random.default_rng(5).standard_normal((2, 12, 12)))
         columns, ok = solve_local_columns(topology, gram, power)
         assert ok.all()
-        support = list(topology.inter_plus[0])
+        support = np.flatnonzero(topology.inter_plus[:, 0])
+        assert support.tolist() == list(range(12))
         quad = gram[:, support][:, :, support] + power[:, support, 0][:, :, None] * np.eye(12)
         expected, expected_ok = solve_simplex_qp_batch_loop(quad, gram[:, support, 0])
         assert_no_worse_than_the_oracle(
@@ -573,7 +574,7 @@ class TestLocalProgram:
         )
         assert state.fallback_count == 0
         assert np.allclose(state.learned_weights.sum(axis=-2), 1.0, atol=1e-12)
-        assert np.all(state.learned_weights[:, ~topology.inter_plus_mask()] == 0.0)
+        assert np.all(state.learned_weights[:, ~topology.inter_plus] == 0.0)
 
 
 class TestPresetPrograms:
@@ -639,7 +640,7 @@ class TestCentralizedProgram:
         coop, solution = solve_p1(model, two_cluster_line, combine)
         assert solution.certified
         assert solution.kkt_residual <= 1e-8
-        mask = two_cluster_line.inter_plus_mask()
+        mask = two_cluster_line.inter_plus
         assert np.all(coop[~mask] == 0.0)
         assert np.allclose(coop.sum(axis=0), 1.0, atol=1e-9)
 
