@@ -174,9 +174,11 @@ class Scenario:
             raise ValueError("noise_db_range must run from low to high")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        for key in ("master_seed", "profile_seed"):
+        for key in ("master_seed", "profile_seed", "eta"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
+        if self.step_size <= 0.0:
+            raise ValueError(f"step_size must be positive, got {self.step_size}")
         n, p = self.n_nodes, max(self.cluster_of, default=-1) + 1
         lengths = {"cluster_of": n, "reg_power": n, "noise_var": n, "sigma_w": p}
         for key, expected in lengths.items():
@@ -360,18 +362,24 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
 def _draw_chunk(
     compiled: CompiledScenario, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[bytes]]:
-    """All randomness for runs lo..hi-1, each run from its own substream, time-major
-    so that a step reads contiguous slabs: regressors (T, C, N, M), responses (T, C, N).
-    Noise is drawn straight into the responses, so the noise slot is that array too."""
+    """All randomness for runs lo..hi-1, each run from its own substream, time-major:
+    regressors (T, C, N, M), responses (T, C, N), w_true (C, S, N, M). The (N, M) arrays
+    are laid out (M, N) in memory, as the iterates are, so a step's operands share one
+    order. Noise is drawn straight into the responses, so the noise slot is that array too."""
     scenario = compiled.scenario
     model0 = compiled.models[0]
     n, dim, horizon = model0.n_nodes, model0.dim, scenario.iterations
     n_seg = len(compiled.models)
     count = hi - lo
 
-    w_true = np.empty((count, n_seg, n, dim))
-    regressors = np.empty((horizon, count, n, dim))
-    responses = np.empty((horizon, count, n))
+    w_true = np.empty((count, n_seg, dim, n)).swapaxes(-1, -2)
+    # One allocation holds regressors and responses. glibc maps a block above 32 MiB
+    # on its own and unmaps it on free, so a large chunk's draws never land in the
+    # malloc heap, where a fragmented free block made peak RSS step by their size.
+    size = horizon * count * n * dim
+    draws = np.empty(size + horizon * count * n)
+    regressors = draws[:size].reshape(horizon, count, dim, n).swapaxes(-1, -2)
+    responses = draws[size:].reshape(horizon, count, n)
     digests = []
     for j in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((scenario.master_seed, lo + j)))

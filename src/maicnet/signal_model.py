@@ -232,13 +232,16 @@ def sample_parameters(model: SignalModel, rng: np.random.Generator) -> np.ndarra
 
 
 def draw_regressors(model: SignalModel, n_iters: int, rng: np.random.Generator) -> np.ndarray:
-    """(T, N, M) Gaussian regressors, white in time, colored per node column by
-    column (elementwise; an einsum over the short axis loops per output element)."""
+    """(T, N, M) Gaussian regressors, white in time, laid out (M, T, N) in memory.
+    Each output component is colored as one (T, N) plane, summed over the input
+    components in index order (an einsum over the short axis loops per output element)."""
     z = rng.standard_normal((n_iters, model.n_nodes, model.dim))
-    colored = model._reg_sqrt[:, :, 0] * z[..., 0, None]
-    for j in range(1, model.dim):
-        colored += model._reg_sqrt[:, :, j] * z[..., j, None]
-    return colored
+    colored = np.empty((model.dim, n_iters, model.n_nodes))
+    for i in range(model.dim):
+        colored[i] = model._reg_sqrt[:, i, 0] * z[..., 0]
+        for j in range(1, model.dim):
+            colored[i] += model._reg_sqrt[:, i, j] * z[..., j]
+    return np.moveaxis(colored, 0, -1)
 
 
 def draw_noises(model: SignalModel, n_iters: int, rng: np.random.Generator) -> np.ndarray:

@@ -62,8 +62,9 @@ def init_state(
     batch_shape: tuple[int, ...] = (),
     adaptive: bool = False,
 ) -> StrategyState:
-    """Zero-initialized state, matching the reference initialization."""
-    weights = np.zeros(batch_shape + (n_nodes, dim))
+    """Zero-initialized state. The ``(..., N, M)`` iterates are laid out
+    ``(..., M, N)`` in memory, the order in which the combine's GEMM returns them."""
+    weights = np.zeros(batch_shape + (dim, n_nodes)).swapaxes(-1, -2)
     state = StrategyState(weights=weights)
     if adaptive:
         state.increment_power = np.zeros(batch_shape + (n_nodes, n_nodes))

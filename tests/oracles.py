@@ -439,6 +439,16 @@ def einsum_color(reg_sqrt, z):
     return np.einsum("nij,tnj->tni", reg_sqrt, z)
 
 
+def broadcast_color(reg_sqrt, z):
+    """White draws ``z`` (T, N, M) colored per node column by column with
+    broadcasting, into a C-ordered (T, N, M) array: the coloring that
+    ``draw_regressors`` did before it wrote one (T, N) plane per component."""
+    colored = reg_sqrt[:, :, 0] * z[..., 0, None]
+    for j in range(1, z.shape[-1]):
+        colored += reg_sqrt[:, :, j] * z[..., j, None]
+    return colored
+
+
 def einsum_mdlms_pull(w, regularizer):
     """Regularizer pull ``sum_l rho[l,k] (w_l - w_k)`` as an einsum."""
     pull = np.einsum("...lm,lk->...km", w, regularizer)

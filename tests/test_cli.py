@@ -347,6 +347,9 @@ class TestSimulate:
             ("a", ("alpha",), 2.0, "alpha must lie in [0, 1], got 2.0"),
             ("a", ("reg_power", 0), 0.0, "reg_power[0] must be positive, got 0.0"),
             ("a", ("master_seed",), -1, "master_seed must be non-negative, got -1"),
+            ("a", ("eta",), -5.0, "eta must be non-negative, got -5.0"),
+            ("a", ("step_size",), 0.0, "step_size must be positive, got 0.0"),
+            ("a", ("step_size",), -0.01, "step_size must be positive, got -0.01"),
         ],
     )
     def test_malformed_scenario_file_fails_with_one_error_line(

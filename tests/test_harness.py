@@ -711,6 +711,16 @@ class TestSimulationHotPath:
             digest = hashlib.sha256(params.tobytes() + run_regressors.tobytes() + run_noises.tobytes())
             assert digests[j] == digest.digest()
 
+    def test_draws_are_laid_out_m_major(self):
+        # the (N, M) draws share the iterates' (M, N) memory order
+        compiled = harness.compile_scenario(small("nonstationary", runs=3, iterations=800))
+        w_true, regressors, _, responses, _ = harness._draw_chunk(compiled, 0, 3)
+        assert w_true.shape == (3, 4, 10, 2) and regressors.shape == (800, 3, 10, 2)
+        assert np.swapaxes(w_true, -1, -2).flags.c_contiguous
+        assert np.swapaxes(regressors, -1, -2).flags.c_contiguous
+        assert responses.flags.c_contiguous
+        assert regressors.base is responses.base  # one allocation for both
+
 
 class TestCallTimeLookups:
     """The traced benchmark wraps these names at their module attributes;

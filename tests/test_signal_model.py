@@ -20,7 +20,7 @@ from maicnet.signal_model import (
     parameter_moments_from_correlation,
     sample_parameters,
 )
-from oracles import einsum_color, stacked_parameter_moments
+from oracles import broadcast_color, einsum_color, stacked_parameter_moments
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -154,7 +154,7 @@ class TestSampling:
         assert np.allclose(power, [1.0, 1.3, 0.8, 1.1], atol=0.05)
 
     @staticmethod
-    def _colored_both_ways(reg_cov):
+    def _colored_both_ways(reg_cov, reference=einsum_color):
         n, dim = reg_cov.shape[:2]
         model = SignalModel(
             dim=dim, reg_cov=reg_cov, noise_var=np.ones(n), step_sizes=np.full(n, 0.1),
@@ -163,7 +163,7 @@ class TestSampling:
         )
         u = draw_regressors(model, 50, np.random.default_rng(dim))
         z = np.random.default_rng(dim).standard_normal((50, n, dim))
-        return u, einsum_color(model._reg_sqrt, z)
+        return u, reference(model._reg_sqrt, z)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_isotropic_coloring_matches_the_einsum_bitwise(self, dim):
@@ -175,6 +175,15 @@ class TestSampling:
         roots = np.random.default_rng(9).standard_normal((6, 2, 2))
         u, expected = self._colored_both_ways(roots @ roots.transpose(0, 2, 1) + 0.1 * np.eye(2))
         assert np.array_equal(u, expected)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_coloring_matches_the_broadcast_reference_bitwise(self, dim):
+        roots = np.random.default_rng(10 + dim).standard_normal((6, dim, dim))
+        reg_cov = roots @ roots.transpose(0, 2, 1) + 0.1 * np.eye(dim)
+        u, expected = self._colored_both_ways(reg_cov, broadcast_color)
+        assert np.array_equal(u, expected)
+        assert u.shape == (50, 6, dim)
+        assert np.moveaxis(u, -1, 0).flags.c_contiguous  # laid out (M, T, N)
 
     def test_noise_variance_matches_profile(self, line_model):
         rng = np.random.default_rng(4)

@@ -256,6 +256,57 @@ class TestStepEquivalences:
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
+def _m_major(x):
+    """A copy of ``x`` (..., N, M) laid out (..., M, N) in memory."""
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2)
+
+
+class TestMemoryOrder:
+    """Iterates and draws are stored (..., M, N) in memory; a step must not
+    depend on that, and must hand its iterates back in that order."""
+
+    @pytest.mark.parametrize("rule", ["maic", "mdlms", "adaptive"])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_steps_match_on_both_memory_orders(self, rule, batch, dim):
+        top = ClusteredTopology.from_edges(
+            5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 3)), (0, 0, 0, 1, 1)
+        )
+        combine = metropolis_weights(top)
+        coop = random_cooperation(top, np.random.default_rng(dim))
+        rho = averaging_rule_weights(top)
+        mu = np.array([0.05, 0.1, 0.08, 0.12, 0.07])
+        rng = np.random.default_rng(40 + dim)
+        start = rng.standard_normal(batch + (5, dim))
+        inputs = [_draw_inputs(rng, 5, dim, batch) for _ in range(4)]
+        finals = []
+        for layout in (np.ascontiguousarray, _m_major):
+            state = init_state(5, dim, batch, adaptive=rule == "adaptive")
+            state.weights = start
+            for u, d in inputs:
+                state.weights = layout(state.weights)
+                if rule == "maic":
+                    maic_step(state, layout(u), d, combine, coop, mu)
+                elif rule == "mdlms":
+                    mdlms_step(state, layout(u), d, combine, rho, 2.5, mu)
+                else:
+                    maic_adaptive_step(state, layout(u), d, combine, top, 0.7, mu)
+                assert np.swapaxes(state.weights, -1, -2).flags.c_contiguous
+            finals.append(state)
+        c_order, m_major = finals
+        assert np.array_equal(c_order.weights, m_major.weights)
+        if rule == "adaptive":
+            assert np.array_equal(c_order.learned_weights, m_major.learned_weights)
+            assert np.array_equal(c_order.increment_power, m_major.increment_power)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_init_state_lays_the_iterates_out_m_major(self, adaptive):
+        state = init_state(5, 3, (4,), adaptive=adaptive)
+        assert state.weights.shape == (4, 5, 3)
+        assert np.swapaxes(state.weights, -1, -2).flags.c_contiguous
+        assert not state.weights.any()
+
+
 class TestMaicStep:
     def test_matches_per_node_loops(self):
         top = ClusteredTopology.from_edges(4, ((0, 1), (1, 2), (2, 3)), (0, 0, 1, 1))
