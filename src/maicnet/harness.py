@@ -399,6 +399,16 @@ def _draw_chunk(
 
 
 def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
+    """Every strategy on runs lo..hi-1, in one pass over time.
+
+    All strategies read the same draws. At each step the fixed-weight rules
+    advance together as one ``(F, C, N, M)`` stack, with one cooperation and
+    one combine matrix each; the MDLMS and adaptive rules step on their own.
+    Each strategy's deviation from the true parameters goes into one shared
+    ``(P, C, N, M)`` buffer, and one bookkeeping pass covers all P strategies.
+    A run whose squared deviation exceeds ``DIVERGENCE_NORM**2`` or is NaN
+    aborts.
+    """
     scenario = compiled.scenario
     topology = compiled.topology
     combine = compiled.combine
@@ -412,26 +422,44 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
 
     w_true, regressors, _, responses, digests = _draw_chunk(compiled, lo, hi)
 
-    out: dict = {"digests": digests, "strategies": {}}
-    for plan in compiled.plans:
-        state = strategies.init_state(n, dim, (count,), adaptive=plan.kind == "adaptive")
-        alive = np.ones(count, dtype=bool)
-        aborted_at = np.full(count, -1, dtype=np.int64)
-        err_sum = np.zeros((horizon, n))
-        counts = np.zeros(horizon, dtype=np.int64)
-        window_net = np.zeros(count)
-        window_cluster = np.zeros((count, compiled.cluster_sizes.size))
-        frozen = False  # set once a run has aborted
+    # fixed-weight rules first: rows 0..F-1 of the shared buffers are their stack
+    fixed = [plan for plan in compiled.plans if plan.kind == "fixed"]
+    others = [plan for plan in compiled.plans if plan.kind != "fixed"]
+    plans = fixed + others
+    n_fixed, n_plans = len(fixed), len(plans)
+    if fixed:
+        cooperation = np.stack([plan.weights for plan in fixed], axis=1)  # (S, F, N, N)
+        # one combine per strategy: each strategy's rows get the product they would
+        # get alone (numpy computes a one-row product as a GEMV, not within a GEMM)
+        fixed_combine = np.broadcast_to(combine, (n_fixed, n, n))
+    fixed_state = strategies.init_state(n, dim, (n_fixed, count))
+    states = [
+        strategies.init_state(n, dim, (count,), adaptive=plan.kind == "adaptive") for plan in others
+    ]
+    # laid out (C, P, M, N): numpy sums this order over runs in about half the
+    # time it takes on (P, C, M, N), with the same run-by-run additions
+    diff = np.empty((count, n_plans, dim, n)).transpose(1, 0, 3, 2)
+    alive = np.ones((n_plans, count), dtype=bool)
+    alive_count = np.full(n_plans, count, dtype=np.int64)
+    aborted_at = np.full((n_plans, count), -1, dtype=np.int64)
+    err_sum = np.zeros((horizon, n_plans, n))
+    counts = np.zeros((horizon, n_plans), dtype=np.int64)
+    window_net = np.zeros((n_plans, count))
+    window_cluster = np.zeros((n_plans, count, compiled.cluster_sizes.size))
+    frozen = False  # set once a run has aborted
 
-        for t in range(horizon):
-            seg = int(segment_of[t])
-            u_t = regressors[t]
-            d_t = responses[t]
-            if plan.kind == "fixed":
-                strategies.maic_step(
-                    state, u_t, d_t, combine, plan.weights[seg], step_sizes
-                )
-            elif plan.kind == "mdlms":
+    for t in range(horizon):
+        seg = int(segment_of[t])
+        u_t = regressors[t]
+        d_t = responses[t]
+        target = w_true[:, seg]
+        if fixed:
+            strategies.maic_step(
+                fixed_state, u_t, d_t, fixed_combine, cooperation[seg], step_sizes
+            )
+            np.subtract(target, fixed_state.weights, out=diff[:n_fixed])
+        for i, (plan, state) in enumerate(zip(others, states), n_fixed):
+            if plan.kind == "mdlms":
                 strategies.mdlms_step(
                     state, u_t, d_t, combine, plan.weights[0], scenario.eta, step_sizes
                 )
@@ -439,47 +467,55 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
                 strategies.maic_adaptive_step(
                     state, u_t, d_t, combine, topology, scenario.alpha, step_sizes
                 )
-            diff = w_true[:, seg] - state.weights
-            err = strategies.row_dot(diff, diff)
-            net = err.sum(axis=1)
-            overflow = alive & ~(net <= DIVERGENCE_NORM**2)
+            np.subtract(target, state.weights, out=diff[i])
+        err = strategies.row_dot(diff, diff)
+        # A run's squared deviation and the total over all runs and strategies are
+        # float sums of terms err >= 0, each within a relative (terms * 2**-53) of
+        # its exact value, and the exact run sum is at most the exact total: a
+        # total within half the bound clears every run. NaN fails the comparison.
+        if not err.sum() <= DIVERGENCE_NORM**2 / 2:
+            overflow = alive & ~(err.sum(axis=2) <= DIVERGENCE_NORM**2)
             if overflow.any():
                 aborted_at[overflow] = t
                 alive &= ~overflow
+                alive_count -= overflow.sum(axis=1)
                 frozen = True
-            if frozen:
-                # aborted runs restart from zero each step, so their values
-                # stay finite, add nothing to the sums and never reach the solvers
-                dead = ~alive
-                state.weights[dead] = 0.0
+        if frozen:
+            # aborted runs restart from zero each step, so their values
+            # stay finite, add nothing to the sums and never reach the solvers
+            dead = ~alive
+            fixed_state.weights[dead[:n_fixed]] = 0.0
+            for state, dead_runs in zip(states, dead[n_fixed:]):
+                state.weights[dead_runs] = 0.0
                 if state.increment_power is not None:
-                    state.increment_power[dead] = 0.0
-                err[dead] = 0.0
-                net[dead] = 0.0
-            err_sum[t] = err.sum(axis=0)
-            counts[t] = int(alive.sum())
-            if t >= window_start:
-                window_net += net
-                window_cluster += err @ compiled.membership
+                    state.increment_power[dead_runs] = 0.0
+            err[dead] = 0.0
+        err_sum[t] = err.sum(axis=1)
+        counts[t] = alive_count
+        if t >= window_start:
+            window_net += err.sum(axis=2)
+            window_cluster += err @ compiled.membership
 
-        aborted = aborted_at >= 0
-        run_steady = window_net / (window_len * n)
-        run_steady[aborted] = np.nan
-        run_cluster = window_cluster / (window_len * compiled.cluster_sizes)
-        run_cluster[aborted] = np.nan
+    aborted = aborted_at >= 0
+    run_steady = window_net / (window_len * n)
+    run_steady[aborted] = np.nan
+    run_cluster = window_cluster / (window_len * compiled.cluster_sizes)
+    run_cluster[aborted] = np.nan
 
+    out: dict = {"digests": digests, "strategies": {}}
+    for i, (plan, state) in enumerate(zip(plans, [fixed_state] * n_fixed + states)):
         record = {
-            "err_sum": err_sum,
-            "counts": counts,
-            "run_steady": run_steady,
-            "run_cluster_steady": run_cluster,
-            "aborted": [(lo + int(j), int(aborted_at[j])) for j in np.flatnonzero(aborted)],
+            "err_sum": err_sum[:, i],
+            "counts": counts[:, i],
+            "run_steady": run_steady[i],
+            "run_cluster_steady": run_cluster[i],
+            "aborted": [(lo + int(j), int(aborted_at[i, j])) for j in np.flatnonzero(aborted[i])],
             "fallbacks": int(state.fallback_count),
         }
         if plan.kind == "adaptive":
-            finals = state.learned_weights * alive[:, None, None]
+            finals = state.learned_weights * alive[i, :, None, None]
             record["final_weights_sum"] = finals.sum(axis=0)
-            record["final_weights_count"] = int(alive.sum())
+            record["final_weights_count"] = int(alive_count[i])
         out["strategies"][plan.name] = record
     return out
 
@@ -656,6 +692,8 @@ def write_weight_csv(path, stack: np.ndarray) -> None:
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     """Simulate every strategy of a scenario and collect paired statistics."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     compiled = compile_scenario(scenario)
     horizon, runs = scenario.iterations, scenario.runs
     n = scenario.n_nodes

@@ -14,7 +14,12 @@ cluster borders:
   online moment estimates.
 
 All operations accept stacked states of shape ``(..., N, M)`` so a
-single run and a batch of runs share one code path.
+single run and a batch of runs share one code path. The fixed-matrix
+rule also steps several strategies at once: their iterates stack as
+``(F, ..., N, M)`` with one cooperation and one combine matrix per
+strategy, ``(F, N, N)`` each, and every strategy reads the same
+observations. Each strategy's mix is its own matrix product, so the stack
+steps bitwise as the strategies would alone.
 """
 
 from __future__ import annotations
@@ -94,26 +99,31 @@ def adapt(
 
 
 def _mix(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``sum_l x[..., l, m] * matrix[l, k]`` as one GEMM on the (batch*M, N) view."""
-    swapped = np.swapaxes(x, -1, -2)
-    mixed = swapped.reshape(-1, x.shape[-2]) @ matrix
-    return np.swapaxes(mixed.reshape(swapped.shape), -1, -2)
+    """``sum_l x[i, ..., l, m] * matrix[i, l, k]`` on the (batch*M, N) view of ``x``:
+    one GEMM for one (N, N) matrix, one batched matmul for a stack (F, N, N) whose
+    matrix i mixes ``x[i]``."""
+    swapped = x.swapaxes(-1, -2)
+    mixed = swapped.reshape(matrix.shape[:-2] + (-1, x.shape[-2])) @ matrix
+    return mixed.reshape(swapped.shape).swapaxes(-1, -2)
 
 
 def inter_cluster_combine(adapted: np.ndarray, cooperation: np.ndarray) -> np.ndarray:
     """Convex combination of adapted iterates over the cooperation support.
 
-    ``cooperation`` may be a fixed (N, N) matrix or a batch ``(..., N, N)``
-    of per-run matrices; entry (l, k) weighs node l's iterate in node k's
-    result.
+    ``cooperation`` may be one fixed (N, N) matrix; a stack (F, N, N) with
+    one matrix per strategy, for iterates ``(F, ..., N, M)`` of F strategies
+    stepped together; or a batch ``(..., N, N)`` of per-run matrices with
+    the iterates' batch shape. Entry (l, k) weighs node l's iterate in node
+    k's result.
     """
-    if cooperation.ndim == 2:
+    if cooperation.ndim == 2 or cooperation.ndim < adapted.ndim:
         return _mix(adapted, cooperation)
     return np.swapaxes(cooperation, -1, -2) @ adapted
 
 
 def intra_cluster_combine(cooperated: np.ndarray, combine: np.ndarray) -> np.ndarray:
-    """Intra-cluster merge; entry (l, k) weighs node l's iterate at node k."""
+    """Intra-cluster merge; entry (l, k) weighs node l's iterate at node k.
+    ``combine`` is one (N, N) matrix or a per-strategy stack (F, N, N)."""
     return _mix(cooperated, combine)
 
 
@@ -148,7 +158,12 @@ def maic_step(
     cooperation: np.ndarray,
     step_sizes: np.ndarray,
 ) -> np.ndarray:
-    """Adapt, cooperate across clusters, combine within the cluster."""
+    """Adapt, cooperate across clusters, combine within the cluster.
+
+    ``combine`` and ``cooperation`` are each one (N, N) matrix, or both
+    stacks (F, N, N) that step F strategies' iterates ``(F, ..., N, M)`` on
+    the shared observations.
+    """
     psi = adapt(state.weights, regressors, responses, step_sizes)
     phi = inter_cluster_combine(psi, cooperation)
     new = intra_cluster_combine(phi, combine)

@@ -370,6 +370,17 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_fail_with_one_error_line(self, capsys, tmp_path, workers):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "a", "--runs", "2", "--iters", "20",
+            "--workers", workers, "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: workers must be at least 1, got {workers}"]
+        assert not (tmp_path / "x").exists()
+
     def test_repeated_strategy_fails_with_one_error_line(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "simulate", "--scenario", "a", "--strategies", "atc,atc",

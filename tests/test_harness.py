@@ -43,6 +43,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="must be positive"):
             small("a", runs=0)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run_scenario(small("a", runs=2, iterations=10), workers=workers)
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategies"):
             small("a", strategies=("gradient-descent",))
@@ -722,6 +727,50 @@ class TestSimulationHotPath:
         assert regressors.base is responses.base  # one allocation for both
 
 
+class TestSharedPass:
+    """All strategies of a chunk step in one pass over time, the fixed-weight
+    rules as one stack; each must still see exactly what it would alone."""
+
+    @staticmethod
+    def assert_isolated(scenario):
+        together = run_scenario(scenario)
+        for name in scenario.strategies:
+            alone = run_scenario(replace(scenario, strategies=(name,)))
+            a, b = together.curves[name], alone.curves[name]
+            for field in ("network", "per_cluster", "counts", "run_steady", "run_cluster_steady"):
+                assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), (name, field)
+            assert together.diagnostics["aborted"][name] == alone.diagnostics["aborted"][name]
+            assert np.array_equal(together.weights[name], alone.weights[name])
+        return together
+
+    def test_diverging_runs_stay_with_their_strategy(self):
+        scenario = replace(
+            small(
+                "a",
+                runs=20,
+                iterations=1500,
+                strategies=("maic-p1", "maic-p2", "atc", "mdlms-averaging"),
+            ),
+            step_size=1.1,
+        )
+        result = self.assert_isolated(scenario)
+        aborted = {name: {run for run, _ in runs} for name, runs in result.diagnostics["aborted"].items()}
+        assert aborted["maic-p1"] == {1, 4, 17}
+        assert aborted["maic-p2"] == {12}
+        assert aborted["atc"] == aborted["mdlms-averaging"] == set(range(20))
+
+    def test_every_step_kind_matches_its_solo_run(self):
+        scenario = small("a", runs=6, iterations=80)
+        compiled = harness.compile_scenario(scenario)
+        assert {plan.kind for plan in compiled.plans} == {"fixed", "mdlms", "adaptive"}
+        self.assert_isolated(scenario)
+
+    def test_one_run_of_scalar_tasks_matches_its_solo_run(self):
+        # one run with M = 1 makes each strategy's mix a one-row product, which
+        # BLAS computes as a GEMV, not as rows of a larger GEMM
+        self.assert_isolated(small("b", runs=1, iterations=200))
+
+
 class TestCallTimeLookups:
     """The traced benchmark wraps these names at their module attributes;
     a caller that kept its own reference would bypass the wrapper."""
@@ -753,7 +802,7 @@ class TestCallTimeLookups:
         assert groups > 0
         fixed = len(harness.FIXED_WEIGHT_STRATEGIES)
         assert calls == {
-            "maic_step": fixed * iterations,
+            "maic_step": iterations,  # the fixed-weight rules step as one stack
             "mdlms_step": iterations,
             "maic_adaptive_step": iterations,
             "solve_p1": 1,

@@ -14,7 +14,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "script, args",
-    [("run_preset.py", ["a"]), ("mean_shift_study.py", []), ("sweep_correlation.py", [])],
+    [
+        ("run_preset.py", ["a"]),
+        ("mean_shift_study.py", []),
+        ("sweep_correlation.py", []),
+        ("output_digests.py", []),
+    ],
 )
 def test_script_runs_to_completion(script, args, tmp_path):
     env = dict(os.environ)

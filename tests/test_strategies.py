@@ -255,6 +255,29 @@ class TestStepEquivalences:
             c = mdlms_step(states[2], u, d, combine, rho, 0.0, mu)
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
+    @pytest.mark.parametrize("runs", [1, 7, 250])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_strategy_stack_steps_like_each_strategy_alone(self, dim, runs):
+        # (F, N, N) cooperation and combine stacks on shared inputs, bitwise as F
+        # separate steps; one run of scalar tasks makes one-row products
+        top = ClusteredTopology.from_edges(
+            5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 3)), (0, 0, 0, 1, 1)
+        )
+        combine = metropolis_weights(top)
+        rng = np.random.default_rng(60 + dim)
+        coops = np.stack([np.eye(5)] + [random_cooperation(top, rng) for _ in range(2)])
+        mu = np.array([0.05, 0.1, 0.08, 0.12, 0.07])
+        stacked = init_state(5, dim, (3, runs))
+        alone = [init_state(5, dim, (runs,)) for _ in coops]
+        for _ in range(6):
+            u, d = _draw_inputs(rng, 5, dim, (runs,))
+            u = _m_major(u)
+            maic_step(stacked, u, d, np.broadcast_to(combine, coops.shape), coops, mu)
+            for state, coop in zip(alone, coops):
+                maic_step(state, u, d, combine, coop, mu)
+            assert np.array_equal(stacked.weights, np.stack([s.weights for s in alone]))
+            assert np.swapaxes(stacked.weights, -1, -2).flags.c_contiguous
+
 
 def _m_major(x):
     """A copy of ``x`` (..., N, M) laid out (..., M, N) in memory."""
