@@ -9,8 +9,12 @@ Reproducibility contract: one master seed; run r draws from a substream
 seeded by (master seed, r); within a run the draw order is fixed
 (segment parameters, then regressors, then noises). Runs are processed
 in fixed-size chunks and chunk partials are reduced in chunk order with
-compensated summation, so results are byte-identical for any worker
-count.
+compensated summation. A chunk's runs are drawn on several threads, each
+run wholly by one thread into its own slices, so results are
+byte-identical for any worker and thread count. The thread count is the
+process's usable CPUs divided by the processes drawing at once (the
+workers when the process pool runs, else 1), at least 1 and at most the
+chunk's run count.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
@@ -360,12 +365,21 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
 
 
 def _draw_chunk(
-    compiled: CompiledScenario, lo: int, hi: int
+    compiled: CompiledScenario, lo: int, hi: int, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[bytes]]:
     """All randomness for runs lo..hi-1, each run from its own substream, time-major:
     regressors (T, C, N, M), responses (T, C, N), w_true (C, S, N, M). The (N, M) arrays
     are laid out (M, N) in memory, as the iterates are, so a step's operands share one
-    order. Noise is drawn straight into the responses, so the noise slot is that array too."""
+    order. The noise slot is the responses array too: a chunk holds no separate noises.
+
+    The calling thread seeds every run's generator and draws its parameters, in run
+    order, so no name the benchmark's tracer wraps runs on another thread. Then
+    ``threads`` threads (at most one per run), the calling one among them, each take
+    one contiguous block of runs. A run's regressors and noises, its stream digest and
+    its signal term are computed by one thread and written only to that run's slices,
+    so the output is the same bytes for any thread count. numpy's random fills and
+    copies and the digest's hashing release the GIL. Every helper thread has finished
+    on return, and an error raised on any thread is raised here."""
     scenario = compiled.scenario
     model0 = compiled.models[0]
     n, dim, horizon = model0.n_nodes, model0.dim, scenario.iterations
@@ -380,26 +394,45 @@ def _draw_chunk(
     draws = np.empty(size + horizon * count * n)
     regressors = draws[:size].reshape(horizon, count, dim, n).swapaxes(-1, -2)
     responses = draws[size:].reshape(horizon, count, n)
-    digests = []
+    rngs = []
     for j in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((scenario.master_seed, lo + j)))
         for s, model in enumerate(compiled.models):
             w_true[j, s] = sample_parameters(model, rng)
-        run_regressors = regressors[:, j] = draw_regressors(model0, horizon, rng)
-        run_noises = responses[:, j] = draw_noises(model0, horizon, rng)
-        digest = hashlib.sha256()
-        digest.update(w_true[j].tobytes())
-        digest.update(run_regressors.tobytes())
-        digest.update(run_noises.tobytes())
-        digests.append(digest.digest())
+        rngs.append(rng)
+    starts = [segment.start for segment in scenario.segments] + [horizon]
+    digests = [b""] * count
 
-    for t, seg in enumerate(compiled.segment_of):
-        responses[t] += strategies.row_dot(regressors[t], w_true[:, seg])
+    def draw_block(first: int, stop: int) -> None:
+        for j in range(first, stop):
+            run_regressors = regressors[:, j] = draw_regressors(model0, horizon, rngs[j])
+            run_noises = draw_noises(model0, horizon, rngs[j])
+            digest = hashlib.sha256()
+            digest.update(w_true[j].tobytes())
+            digest.update(run_regressors.tobytes())
+            digest.update(run_noises.tobytes())
+            digests[j] = digest.digest()
+            # noise + signal in the run's own buffer, then one write into the chunk
+            for s, (t0, t1) in enumerate(zip(starts, starts[1:])):
+                run_noises[t0:t1] += strategies.row_dot(run_regressors[t0:t1], w_true[j, s])
+            responses[:, j] = run_noises
+
+    threads = max(1, min(threads, count))
+    bounds = [count * i // threads for i in range(threads + 1)]
+    # the pool starts a thread per submitted block only, so one block starts none
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        pending = [pool.submit(draw_block, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+        draw_block(bounds[0], bounds[1])
+        for future in pending:
+            future.result()
     return w_true, regressors, responses, responses, digests
 
 
-def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
+def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int, threads: int = 1) -> dict:
     """Every strategy on runs lo..hi-1, in one pass over time.
+
+    The chunk's draws come from ``_draw_chunk`` on ``threads`` threads; the
+    steps and the bookkeeping run on the calling thread alone.
 
     All strategies read the same draws. At each step the fixed-weight rules
     advance together as one ``(F, C, N, M)`` stack, with one cooperation and
@@ -420,7 +453,7 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int) -> dict:
     window_start = horizon - max(1, int(round(STEADY_WINDOW_FRACTION * horizon)))
     window_len = horizon - window_start
 
-    w_true, regressors, _, responses, digests = _draw_chunk(compiled, lo, hi)
+    w_true, regressors, _, responses, digests = _draw_chunk(compiled, lo, hi, threads)
 
     # fixed-weight rules first: rows 0..F-1 of the shared buffers are their stack
     fixed = [plan for plan in compiled.plans if plan.kind == "fixed"]
@@ -691,7 +724,11 @@ def write_weight_csv(path, stack: np.ndarray) -> None:
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
-    """Simulate every strategy of a scenario and collect paired statistics."""
+    """Simulate every strategy of a scenario and collect paired statistics.
+
+    Chunks run on ``workers`` processes when there is more than one chunk;
+    each chunk draws its runs on the threads its process's share of the
+    usable CPUs allows (see the module docstring)."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     compiled = compile_scenario(scenario)
@@ -699,8 +736,14 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     n = scenario.n_nodes
 
     ranges = [(lo, min(lo + CHUNK_SIZE, runs)) for lo in range(0, runs, CHUNK_SIZE)]
-    tasks = [(compiled, lo, hi) for lo, hi in ranges]
-    if workers > 1 and len(tasks) > 1:
+    pooled = workers > 1 and len(ranges) > 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    threads = max(1, cpus // (workers if pooled else 1))
+    tasks = [(compiled, lo, hi, threads) for lo, hi in ranges]
+    if pooled:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_chunk_task, tasks))
     else:

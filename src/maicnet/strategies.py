@@ -141,10 +141,12 @@ def mdlms_step(
     With zero strength this reduces bitwise to the no-cooperation rule.
     """
     psi = adapt(state.weights, regressors, responses, step_sizes)
+    # psi + (mu * strength) * (mix(w) - degree * w), in place on the mix's buffer
     pull = _mix(state.weights, regularizer)
     pull -= regularizer.sum(axis=0)[:, None] * state.weights
     mu = np.atleast_1d(np.asarray(step_sizes, dtype=float))
-    psi = psi + mu[..., :, None] * strength * pull
+    pull *= mu[..., :, None] * strength
+    psi += pull
     new = intra_cluster_combine(psi, combine)
     state.weights = new
     return new

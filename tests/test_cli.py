@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from maicnet import cli, presets
+from maicnet import cli, harness, presets
 from maicnet.harness import Scenario, SegmentSpec
+from maicnet.signal_model import draw_noises
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +256,21 @@ class TestSimulate:
         assert set(summary["strategies"]) == {"atc", "maic-p2"}
         curves = (out_dir / "curves.csv").read_text().splitlines()
         assert len(curves) == 51
+
+    def test_failed_draw_prints_one_error_line(self, capsys, monkeypatch, tmp_path):
+        # the last run of the chunk: with several drawing threads, not the caller's
+        def failing(model, n_iters, rng):
+            if rng.bit_generator.seed_seq.entropy[1] == 5:
+                raise ValueError("noise draw failed on run 5")
+            return draw_noises(model, n_iters, rng)
+
+        monkeypatch.setattr(harness, "draw_noises", failing)
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "b", "--runs", "6", "--iters", "30",
+            "--strategies", "atc", "--out", str(tmp_path / "sim"),
+        )
+        assert code == 1
+        assert err == "error: noise draw failed on run 5\n"
 
     def test_single_run_prints_no_warning(self, tmp_path):
         # a fresh interpreter, so numpy's warnings reach stderr as a user sees them

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import threading
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -725,6 +727,138 @@ class TestSimulationHotPath:
         assert np.swapaxes(regressors, -1, -2).flags.c_contiguous
         assert responses.flags.c_contiguous
         assert regressors.base is responses.base  # one allocation for both
+
+
+def run_of(rng) -> int:
+    """The run index a substream generator was seeded with."""
+    return rng.bit_generator.seed_seq.entropy[1]
+
+
+class TestThreadedDraws:
+    """A chunk's runs may be drawn on several threads; explicit thread counts
+    keep these tests independent of the machine's CPU count."""
+
+    @pytest.mark.parametrize("runs", [1, 7, 250])
+    @pytest.mark.parametrize("name, iterations", [("a", 100), ("b", 100), ("nonstationary", 800)])
+    def test_thread_count_leaves_every_byte(self, name, iterations, runs):
+        compiled = harness.compile_scenario(small(name, runs=3 + runs, iterations=iterations))
+        lo, hi = 3, 3 + runs
+        one = harness._draw_chunk(compiled, lo, hi, threads=1)
+        for threads in (2, 3):
+            w_true, regressors, noises, responses, digests = harness._draw_chunk(
+                compiled, lo, hi, threads=threads
+            )
+            assert np.array_equal(w_true, one[0])
+            assert np.array_equal(regressors, one[1])
+            assert np.array_equal(responses, one[3])
+            assert digests == one[4]
+            assert noises is responses
+            assert np.swapaxes(w_true, -1, -2).flags.c_contiguous
+            assert np.swapaxes(regressors, -1, -2).flags.c_contiguous
+            assert responses.flags.c_contiguous
+            assert regressors.base is responses.base
+
+    def test_more_threads_than_cores_with_frequent_switches(self):
+        # a lost or misplaced write between threads would change some byte, and
+        # no drawing thread may outlive the call
+        compiled = harness.compile_scenario(small("a", runs=30, iterations=60))
+        one = harness._draw_chunk(compiled, 0, 30, threads=1)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = harness._draw_chunk(compiled, 0, 30, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        for got, expected in zip(many[:4], one[:4]):
+            assert np.array_equal(got, expected)
+        assert many[4] == one[4]
+
+    def test_thread_count_leaves_the_chunk_partials(self):
+        compiled = harness.compile_scenario(small("a", runs=7, iterations=60))
+        assert {plan.kind for plan in compiled.plans} == {"fixed", "mdlms", "adaptive"}
+        one = harness._simulate_chunk(compiled, 0, 7, threads=1)
+        two = harness._simulate_chunk(compiled, 0, 7, threads=2)
+        assert two["digests"] == one["digests"]
+        assert two["strategies"].keys() == one["strategies"].keys()
+        for name, record in one["strategies"].items():
+            assert two["strategies"][name].keys() == record.keys()
+            for key, value in record.items():
+                other = two["strategies"][name][key]
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(other, value, equal_nan=True), (name, key)
+                else:
+                    assert other == value, (name, key)
+
+    def test_error_on_a_drawing_thread_reaches_the_caller(self, monkeypatch):
+        compiled = harness.compile_scenario(small("a", runs=6, iterations=40))
+
+        def failing(model, n_iters, rng):
+            if run_of(rng) == 5:  # the last block's run, drawn off the calling thread
+                raise ValueError("noise draw failed on run 5")
+            return draw_noises(model, n_iters, rng)
+
+        monkeypatch.setattr(harness, "draw_noises", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="noise draw failed on run 5"):
+            harness._draw_chunk(compiled, 0, 6, threads=3)
+        assert threading.active_count() == before
+
+    def test_parameters_are_drawn_on_the_calling_thread_in_run_order(self, monkeypatch):
+        # the traced benchmark wraps sample_parameters with one unlocked span stack
+        compiled = harness.compile_scenario(small("nonstationary", runs=9, iterations=800))
+        seen = []
+
+        def recording(model, rng):
+            seen.append((threading.get_ident(), run_of(rng)))
+            return sample_parameters(model, rng)
+
+        monkeypatch.setattr(harness, "sample_parameters", recording)
+        harness._draw_chunk(compiled, 2, 9, threads=3)
+        segments = len(compiled.models)
+        assert segments == 4
+        assert seen == [(threading.get_ident(), r) for r in range(2, 9) for _ in range(segments)]
+
+    def test_thread_count_follows_usable_cpus_and_pool_processes(self, monkeypatch):
+        # each chunk's threads: CPUs // drawing processes, the pool's workers
+        # only when the pool runs (an in-process stand-in records the tasks)
+        requested = []
+        draw = harness._draw_chunk
+
+        def recording(compiled, lo, hi, threads=1):
+            requested.append(threads)
+            return draw(compiled, lo, hi, threads)
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(harness, "_draw_chunk", recording)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(6)))
+        one_chunk = small("b", runs=3, iterations=20, strategies=("atc",))
+        two_chunks = replace(one_chunk, runs=harness.CHUNK_SIZE + 1)
+        for scenario, workers, expected in (
+            (one_chunk, 1, [6]),
+            (one_chunk, 4, [6]),  # one chunk: no pool
+            (two_chunks, 1, [6, 6]),
+            (two_chunks, 2, [3, 3]),
+            (two_chunks, 4, [1, 1]),
+            (two_chunks, 8, [1, 1]),
+        ):
+            requested.clear()
+            run_scenario(scenario, workers=workers)
+            assert requested == expected, (scenario.runs, workers)
 
 
 class TestSharedPass:
