@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Print one sha256 per preset over the files a simulation writes.
+"""Print one sha256 per preset and output file of a simulation.
 
 Each preset runs end to end and writes ``curves.csv``, ``summary.json``
-and ``weights_*.csv`` to a temporary directory; the digest covers each
-file's name and bytes, in name order. A preset whose segments do not fit
-``--iters`` is listed as skipped. Two trees produce the same outputs
-exactly when their listings match, e.g.
+and ``weights_*.csv`` to a temporary directory. Every file gets its own
+line, ``<preset> <file> <sha256 of its bytes>``, and one more line per
+preset gives the run's stream digest, ``<preset> stream_digest <hex>``,
+so a change that moves one file shows which. A preset whose segments do
+not fit ``--iters`` is listed as skipped. Two trees produce the same
+outputs exactly when their listings match, e.g.
 
     python3 scripts/output_digests.py --runs 300 > before.txt
     (in the other tree) python3 scripts/output_digests.py --runs 300 > after.txt
@@ -20,13 +22,10 @@ from pathlib import Path
 from maicnet import harness, presets
 
 
-def output_digest(out_dir: Path) -> str:
-    digest = hashlib.sha256()
+def file_digests(out_dir: Path) -> list[tuple[str, str]]:
+    """``(file name, sha256)`` of every output file, curves and summary first."""
     paths = [out_dir / "curves.csv", out_dir / "summary.json", *sorted(out_dir.glob("weights_*.csv"))]
-    for path in paths:
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
+    return [(path.name, hashlib.sha256(path.read_bytes()).hexdigest()) for path in paths]
 
 
 def main() -> None:
@@ -50,7 +49,9 @@ def main() -> None:
         result = harness.run_scenario(scenario, workers=args.workers)
         with tempfile.TemporaryDirectory() as tmp:
             result.write_outputs(tmp)
-            print(f"{name} {output_digest(Path(tmp))}")
+            for file_name, digest in file_digests(Path(tmp)):
+                print(f"{name} {file_name} {digest}")
+        print(f"{name} stream_digest {result.stream_digest}")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ compensated summation. A chunk's runs are drawn on several threads, each
 run wholly by one thread into its own slices, so results are
 byte-identical for any worker and thread count. The thread count is the
 process's usable CPUs divided by the processes drawing at once (the
-workers when the process pool runs, else 1), at least 1 and at most the
-chunk's run count.
+workers, or the chunks if fewer, when the process pool runs, else 1), at
+least 1 and at most the chunk's run count.
 """
 
 from __future__ import annotations
@@ -448,7 +448,7 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int, threads: int =
     model0 = compiled.models[0]
     n, dim, horizon = model0.n_nodes, model0.dim, scenario.iterations
     count = hi - lo
-    step_sizes = model0.step_sizes
+    step_size = model0.step_size
     segment_of = compiled.segment_of
     window_start = horizon - max(1, int(round(STEADY_WINDOW_FRACTION * horizon)))
     window_len = horizon - window_start
@@ -488,17 +488,17 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int, threads: int =
         target = w_true[:, seg]
         if fixed:
             strategies.maic_step(
-                fixed_state, u_t, d_t, fixed_combine, cooperation[seg], step_sizes
+                fixed_state, u_t, d_t, fixed_combine, cooperation[seg], step_size
             )
             np.subtract(target, fixed_state.weights, out=diff[:n_fixed])
         for i, (plan, state) in enumerate(zip(others, states), n_fixed):
             if plan.kind == "mdlms":
                 strategies.mdlms_step(
-                    state, u_t, d_t, combine, plan.weights[0], scenario.eta, step_sizes
+                    state, u_t, d_t, combine, plan.weights[0], scenario.eta, step_size
                 )
             else:
                 strategies.maic_adaptive_step(
-                    state, u_t, d_t, combine, topology, scenario.alpha, step_sizes
+                    state, u_t, d_t, combine, topology, scenario.alpha, step_size
                 )
             np.subtract(target, state.weights, out=diff[i])
         err = strategies.row_dot(diff, diff)
@@ -741,7 +741,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    threads = max(1, cpus // (workers if pooled else 1))
+    threads = max(1, cpus // (min(workers, len(ranges)) if pooled else 1))
     tasks = [(compiled, lo, hi, threads) for lo, hi in ranges]
     if pooled:
         with ProcessPoolExecutor(max_workers=workers) as pool:

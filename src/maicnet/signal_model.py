@@ -1,11 +1,14 @@
 """Statistical environment for clustered adaptive estimation.
 
 Each node k observes a scalar response ``d = u . w + v`` where the
-regressor u is zero-mean Gaussian with node covariance ``reg_cov[k]``,
-v is zero-mean Gaussian noise with variance ``noise_var[k]``, and w is
-the node's unknown parameter vector. Parameters are random across
+regressor u is zero-mean white Gaussian with covariance
+``reg_power[k] * I``, v is zero-mean Gaussian noise with variance
+``noise_var[k]``, and w is the node's unknown parameter vector. Every
+node adapts with one step size. Parameters are random across
 experiment runs: nodes in the same cluster share one draw, and draws
-across clusters are correlated through a cluster-level covariance.
+across clusters are correlated through a cluster-level covariance. The
+weight programs and the steady-state theory read those statistics
+through one (N, N) table, ``SignalModel.second_moment_traces``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .topology import ClusteredTopology
 
 __all__ = [
     "SignalModel",
+    "block_trace",
     "parameter_moments_from_correlation",
     "noise_profile_uniform_db",
 ]
@@ -34,6 +38,13 @@ def _psd_sqrt(matrix: np.ndarray, what: str) -> np.ndarray:
     return (eigvec * np.sqrt(np.clip(eigval, 0.0, None))) @ eigvec.T
 
 
+def block_trace(matrix: np.ndarray, block_dim: int) -> np.ndarray:
+    """Compress an (N*M, N*M) matrix to the (N, N) matrix of block traces."""
+    n = matrix.shape[0] // block_dim
+    blocks = matrix.reshape(n, block_dim, n, block_dim)
+    return np.einsum("imjm->ij", blocks)
+
+
 @dataclass(frozen=True)
 class SignalModel:
     """Second-order description of the observation process.
@@ -41,29 +52,29 @@ class SignalModel:
     Fields
     ------
     dim:            length M of each node's parameter vector
-    reg_cov:        (N, M, M) regressor covariances, symmetric positive definite
+    reg_power:      (N,) regressor powers, positive; node k's regressor
+                    covariance is ``reg_power[k] * I``
     noise_var:      (N,) observation noise variances, nonnegative
-    step_sizes:     (N,) adaptation step sizes, nonnegative
+    step_size:      adaptation step size of every node, nonnegative
     cluster_means:  (P, M) parameter mean of each cluster
     cluster_cov:    (P*M, P*M) covariance of the stacked cluster parameters
     cluster_of:     (N,) cluster label of each node; a cluster's nodes share its draw
     """
 
     dim: int
-    reg_cov: np.ndarray
+    reg_power: np.ndarray
     noise_var: np.ndarray
-    step_sizes: np.ndarray
+    step_size: float
     cluster_means: np.ndarray
     cluster_cov: np.ndarray
     cluster_of: np.ndarray
-    _reg_sqrt: np.ndarray = field(init=False, repr=False)
     _cluster_sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dim = int(self.dim)
-        reg_cov = np.asarray(self.reg_cov, dtype=float)
+        reg_power = np.array(self.reg_power, dtype=float)
         noise_var = np.asarray(self.noise_var, dtype=float)
-        step_sizes = np.asarray(self.step_sizes, dtype=float)
+        step_size = float(self.step_size)
         cluster_means = np.asarray(self.cluster_means, dtype=float)
         cluster_cov = np.asarray(self.cluster_cov, dtype=float)
         cluster_of = np.asarray(self.cluster_of, dtype=np.int64)
@@ -72,12 +83,12 @@ class SignalModel:
         p = int(cluster_of.max()) + 1
         if dim < 1:
             raise ValueError("dim must be at least 1")
-        if reg_cov.shape != (n, dim, dim):
-            raise ValueError(f"reg_cov has shape {reg_cov.shape}, expected {(n, dim, dim)}")
+        if reg_power.shape != (n,) or not np.all(reg_power > 0):
+            raise ValueError("reg_power must be a length-N vector of positive powers")
         if noise_var.shape != (n,) or noise_var.min() < 0:
             raise ValueError("noise_var must be a length-N vector of nonnegative variances")
-        if step_sizes.shape != (n,) or step_sizes.min() < 0:
-            raise ValueError("step_sizes must be a length-N vector of nonnegative values")
+        if not step_size >= 0:
+            raise ValueError(f"step_size must be nonnegative, got {step_size}")
         if cluster_means.shape != (p, dim):
             raise ValueError(f"cluster_means has shape {cluster_means.shape}, expected {(p, dim)}")
         if cluster_cov.shape != (p * dim, p * dim):
@@ -85,18 +96,13 @@ class SignalModel:
         if not np.allclose(cluster_cov, cluster_cov.T, atol=1e-12, rtol=0.0):
             raise ValueError("cluster_cov must be symmetric")
 
-        reg_sqrt = np.empty_like(reg_cov)
-        for k in range(n):
-            if not np.allclose(reg_cov[k], reg_cov[k].T, atol=1e-12, rtol=0.0):
-                raise ValueError(f"regressor covariance of node {k} is not symmetric")
-            reg_sqrt[k] = _psd_sqrt(reg_cov[k], f"regressor covariance of node {k}")
         cluster_sqrt = _psd_sqrt(cluster_cov, "cluster parameter covariance")
 
-        for arr in (reg_cov, noise_var, step_sizes, cluster_means, cluster_cov, cluster_of):
+        for arr in (reg_power, noise_var, cluster_means, cluster_cov, cluster_of):
             arr.flags.writeable = False
-        settled = dict(dim=dim, reg_cov=reg_cov, noise_var=noise_var, step_sizes=step_sizes,
+        settled = dict(dim=dim, reg_power=reg_power, noise_var=noise_var, step_size=step_size,
                        cluster_means=cluster_means, cluster_cov=cluster_cov, cluster_of=cluster_of,
-                       _reg_sqrt=reg_sqrt, _cluster_sqrt=cluster_sqrt)
+                       _cluster_sqrt=cluster_sqrt)
         for name, value in settled.items():
             object.__setattr__(self, name, value)
 
@@ -125,11 +131,11 @@ class SignalModel:
         mean = self.mean_stack
         return self.cov_stack + np.outer(mean, mean)
 
-    def uniform_step_size(self) -> float:
-        mu = float(self.step_sizes[0])
-        if not np.all(self.step_sizes == mu):
-            raise ValueError("step sizes are not uniform across nodes")
-        return mu
+    @property
+    def second_moment_traces(self) -> np.ndarray:
+        """(N, N) block traces of ``parameter_second_moment``, the moment table
+        that the weight programs and the steady-state theory read."""
+        return block_trace(self.parameter_second_moment, self.dim)
 
     @classmethod
     def from_profiles(
@@ -138,7 +144,7 @@ class SignalModel:
         dim: int,
         reg_power: "np.ndarray | list[float]",
         noise_var: "np.ndarray | list[float]",
-        step_size: "float | np.ndarray",
+        step_size: float,
         cluster_means: np.ndarray,
         sigma_w: "np.ndarray | list[float]",
         spread_scale: float,
@@ -148,23 +154,20 @@ class SignalModel:
         parameter statistics.
 
         ``reg_power`` gives white regressor variances (covariance is that
-        value times the identity). ``cluster_means`` is (P, M), ``sigma_w``
-        is the per-cluster base standard deviation of the parameter draw,
-        ``spread_scale`` multiplies the whole parameter covariance, and
-        ``gamma`` is the (P, P) cluster correlation matrix.
+        value times the identity) and ``step_size`` is every node's.
+        ``cluster_means`` is (P, M), ``sigma_w`` is the per-cluster base
+        standard deviation of the parameter draw, ``spread_scale``
+        multiplies the whole parameter covariance, and ``gamma`` is the
+        (P, P) cluster correlation matrix.
         """
-        n = topology.n_nodes
-        reg_power = np.asarray(reg_power, dtype=float)
-        reg_cov = np.einsum("n,ij->nij", reg_power, np.eye(dim))
-        step_sizes = np.broadcast_to(np.asarray(step_size, dtype=float), (n,)).copy()
         cluster_means, cluster_cov = parameter_moments_from_correlation(
             topology.cluster_of, dim, cluster_means, sigma_w, spread_scale, gamma
         )
         return cls(
             dim=dim,
-            reg_cov=reg_cov,
-            noise_var=np.asarray(noise_var, dtype=float),
-            step_sizes=step_sizes,
+            reg_power=reg_power,
+            noise_var=noise_var,
+            step_size=step_size,
             cluster_means=cluster_means,
             cluster_cov=cluster_cov,
             cluster_of=topology.cluster_of,
@@ -232,15 +235,13 @@ def sample_parameters(model: SignalModel, rng: np.random.Generator) -> np.ndarra
 
 
 def draw_regressors(model: SignalModel, n_iters: int, rng: np.random.Generator) -> np.ndarray:
-    """(T, N, M) Gaussian regressors, white in time, laid out (M, T, N) in memory.
-    Each output component is colored as one (T, N) plane, summed over the input
-    components in index order (an einsum over the short axis loops per output element)."""
+    """(T, N, M) Gaussian regressors, white in time and across components, laid out
+    (M, T, N) in memory: each component is one (T, N) plane scaled per node."""
     z = rng.standard_normal((n_iters, model.n_nodes, model.dim))
+    scale = np.sqrt(model.reg_power)
     colored = np.empty((model.dim, n_iters, model.n_nodes))
     for i in range(model.dim):
-        colored[i] = model._reg_sqrt[:, i, 0] * z[..., 0]
-        for j in range(1, model.dim):
-            colored[i] += model._reg_sqrt[:, i, j] * z[..., j]
+        np.multiply(scale, z[..., i], out=colored[i])
     return np.moveaxis(colored, 0, -1)
 
 

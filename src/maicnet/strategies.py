@@ -87,15 +87,14 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def adapt(
-    weights: np.ndarray, regressors: np.ndarray, responses: np.ndarray, step_sizes: np.ndarray
+    weights: np.ndarray, regressors: np.ndarray, responses: np.ndarray, step_size: float
 ) -> np.ndarray:
     """LMS adaptation step at every node.
 
-    ``psi_k = w_k + mu_k * u_k * (d_k - u_k . w_k)``
+    ``psi_k = w_k + mu * u_k * (d_k - u_k . w_k)``
     """
     error = responses - row_dot(regressors, weights)
-    mu = np.atleast_1d(np.asarray(step_sizes, dtype=float))
-    return weights + mu[..., :, None] * regressors * error[..., :, None]
+    return weights + step_size * regressors * error[..., :, None]
 
 
 def _mix(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -134,18 +133,17 @@ def mdlms_step(
     combine: np.ndarray,
     regularizer: np.ndarray,
     strength: float,
-    step_sizes: np.ndarray,
+    step_size: float,
 ) -> np.ndarray:
     """Adaptation regularized toward inter-cluster neighbors, then combine.
 
     With zero strength this reduces bitwise to the no-cooperation rule.
     """
-    psi = adapt(state.weights, regressors, responses, step_sizes)
+    psi = adapt(state.weights, regressors, responses, step_size)
     # psi + (mu * strength) * (mix(w) - degree * w), in place on the mix's buffer
     pull = _mix(state.weights, regularizer)
     pull -= regularizer.sum(axis=0)[:, None] * state.weights
-    mu = np.atleast_1d(np.asarray(step_sizes, dtype=float))
-    pull *= mu[..., :, None] * strength
+    pull *= step_size * strength
     psi += pull
     new = intra_cluster_combine(psi, combine)
     state.weights = new
@@ -158,7 +156,7 @@ def maic_step(
     responses: np.ndarray,
     combine: np.ndarray,
     cooperation: np.ndarray,
-    step_sizes: np.ndarray,
+    step_size: float,
 ) -> np.ndarray:
     """Adapt, cooperate across clusters, combine within the cluster.
 
@@ -166,7 +164,7 @@ def maic_step(
     stacks (F, N, N) that step F strategies' iterates ``(F, ..., N, M)`` on
     the shared observations.
     """
-    psi = adapt(state.weights, regressors, responses, step_sizes)
+    psi = adapt(state.weights, regressors, responses, step_size)
     phi = inter_cluster_combine(psi, cooperation)
     new = intra_cluster_combine(phi, combine)
     state.weights = new
@@ -215,7 +213,7 @@ def maic_adaptive_step(
     combine: np.ndarray,
     topology: ClusteredTopology,
     alpha: float,
-    step_sizes: np.ndarray,
+    step_size: float,
 ) -> np.ndarray:
     """Cooperation rule with weights learned online.
 
@@ -225,7 +223,7 @@ def maic_adaptive_step(
     stand in for the unknown parameters. A node whose solve fails keeps
     only its own iterate for that iteration.
     """
-    psi = adapt(state.weights, regressors, responses, step_sizes)
+    psi = adapt(state.weights, regressors, responses, step_size)
     learned = _solve_learned_columns(state, psi, topology, alpha)
     phi = inter_cluster_combine(psi, learned)
     new = intra_cluster_combine(phi, combine)

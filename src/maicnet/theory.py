@@ -4,13 +4,27 @@ The analysis works on network-stacked quantities: parameter errors of all
 nodes concatenated into one vector of length N*M. Conditioned on fixed
 combine and cooperation weights, the stacked error follows a linear
 recursion whose transition matrix B determines mean stability. The
-steady-state mean-square deviation solves the Stein equation
-``S = B' S B + Y`` on N*M x N*M matrices; the map ``S -> B' S B`` has
-spectral radius exactly ``rho(B)**2``, so mean-square stability is mean
-stability. The forcing has three parts: gradient noise, the spread of the
-random parameters across clusters, and a cross term that couples the
-error with that spread; dropping the cross term gives the cheaper
-approximate MSD.
+steady-state mean-square deviation is ``<F, S> / N``, where S solves the
+Stein equation ``S = B' S B + I``; the map ``S -> B' S B`` has spectral
+radius exactly ``rho(B)**2``, so mean-square stability is mean stability.
+The forcing F has three parts: gradient noise, the spread of the random
+parameters across clusters, and a cross term that couples the error with
+that spread; dropping the cross term gives the cheaper approximate MSD.
+
+Every regressor is white, ``R_k = r_k I_M``, and every node steps by one
+step size mu, so every stacked matrix of the recursion is ``X_N ⊗ I_M``
+for an N x N matrix ``X_N`` (Sayed, *Adaptation, Learning, and
+Optimization over Networks*, 2014). With A the combine and C the
+cooperation matrix, ``B = B_N ⊗ I_M`` for ``B_N = A' C' diag(1 - mu r)``,
+whose eigenvalues are B's (each M-fold in B), and the Stein solution is
+``S_N ⊗ I_M`` with ``S_N = B_N' S_N B_N + I_N``. So
+``<F, S> = <bt(F), S_N>``, where ``bt`` replaces each M x M block by its
+trace, and the analysis runs on N x N matrices only. With
+``merged = A' C'`` and ``leak = A' (I - C')`` the traced forcing terms are
+
+* gradient noise: ``M merged diag(mu^2 sigma_k^2 r_k) merged'``,
+* spread: ``leak bt(W) leak'``, with W the parameter second moment,
+* cross term: ``2 spread g'``, with ``g = B_N (I - B_N)^-1``.
 """
 
 from __future__ import annotations
@@ -20,71 +34,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signal_model import SignalModel
-from .topology import kron_expand
 
 __all__ = [
-    "vec",
-    "mean_transition",
     "spectral_radius",
     "mean_stability_bounds",
     "contraction_bound",
-    "mean_bias_vector",
-    "msd_forcing_terms",
     "solve_stein",
     "steady_state_msd",
     "TheoryReport",
     "analyze",
 ]
 
-SIZE_CAP = 64  # NM cap of the lifted test references; the Stein solve has none
+SIZE_CAP = 64  # NM cap of the lifted test references; the N x N theory has none
 SOLVE_RESIDUAL_TOL = 1e-10
 STEIN_MAX_DOUBLINGS = 64
 
 
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization, consistent with kron identities."""
-    return np.asarray(matrix).reshape(-1, order="F")
-
-
-def _stack_block_diag(blocks: np.ndarray) -> np.ndarray:
-    n, dim, _ = blocks.shape
-    out = np.zeros((n * dim, n * dim))
-    for k in range(n):
-        out[k * dim : (k + 1) * dim, k * dim : (k + 1) * dim] = blocks[k]
-    return out
-
-
-def regressor_moment(model: SignalModel) -> np.ndarray:
-    """Block-diagonal stacked regressor covariance."""
-    return _stack_block_diag(model.reg_cov)
-
-
-def step_size_matrix(model: SignalModel) -> np.ndarray:
-    return np.diag(np.repeat(model.step_sizes, model.dim))
-
-
-def gradient_noise_moment(model: SignalModel) -> np.ndarray:
-    """Block-diagonal covariance of the stacked gradient noise."""
-    return _stack_block_diag(model.noise_var[:, None, None] * model.reg_cov)
-
-
-def _lift(
+def _operators(
     combine: np.ndarray, cooperation: np.ndarray, model: SignalModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kron-expanded combine and cooperation matrices and the mean transition."""
-    dim = model.dim
-    big_combine = kron_expand(combine, dim)
-    big_coop = kron_expand(cooperation, dim)
-    identity = np.eye(model.n_nodes * dim)
-    transition = big_combine.T @ big_coop.T @ (identity - step_size_matrix(model) @ regressor_moment(model))
-    return big_combine, big_coop, transition
-
-
-def mean_transition(
-    combine: np.ndarray, cooperation: np.ndarray, model: SignalModel
-) -> np.ndarray:
-    """Stacked mean-error transition matrix of the cooperation recursion."""
-    return _lift(combine, cooperation, model)[2]
+    """The (N, N) merge ``A' C'``, leak ``A' (I - C')`` and mean transition
+    ``B_N``; the stacked matrices are each of these ``⊗ I_M``."""
+    merged = combine.T @ cooperation.T
+    leak = combine.T @ (np.eye(model.n_nodes) - cooperation.T)
+    transition = merged * (1.0 - model.step_size * model.reg_power)
+    return merged, leak, transition
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -93,84 +67,41 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 
 def mean_stability_bounds(model: SignalModel) -> tuple[np.ndarray, bool]:
-    """Per-node step-size bounds ``2 / max eigenvalue`` and whether all hold."""
-    bounds = np.array([2.0 / np.linalg.eigvalsh(c)[-1] for c in model.reg_cov])
-    return bounds, bool(np.all(model.step_sizes < bounds))
+    """Per-node step-size bounds ``2 / r_k`` and whether the step size meets all."""
+    bounds = 2.0 / model.reg_power
+    return bounds, bool(np.all(model.step_size < bounds))
 
 
 def contraction_bound(model: SignalModel) -> float:
-    """Block-diagonal contraction factor bounding the mean transition radius.
+    """Block-diagonal contraction factor ``max_k |1 - mu r_k|`` bounding the
+    mean transition radius.
 
     Left-stochastic merges cannot expand the block maximum norm, so the
     worst per-node factor of the adaptation step is an upper bound.
     """
-    worst = 0.0
-    for k in range(model.n_nodes):
-        factor = np.eye(model.dim) - model.step_sizes[k] * model.reg_cov[k]
-        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(factor)))))
-    return worst
+    return float(np.max(np.abs(1.0 - model.step_size * model.reg_power)))
 
 
-def mean_bias_vector(
-    combine: np.ndarray, cooperation: np.ndarray, model: SignalModel
-) -> np.ndarray:
-    """Constant driving term of the stacked mean-error recursion.
-
-    Vanishes when every cluster shares the same mean parameter.
-    """
-    dim = model.dim
-    big_combine = kron_expand(combine, dim)
-    big_coop = kron_expand(cooperation, dim)
-    identity = np.eye(model.n_nodes * dim)
-    return big_combine.T @ (identity - big_coop.T) @ model.mean_stack
-
-
-@dataclass(frozen=True)
-class ForcingTerms:
-    gradient_noise: np.ndarray  # vectorized, (N*M)**2
-    parameter_spread: np.ndarray
-    cross_limit: np.ndarray
-
-
-def msd_forcing_terms(
-    combine: np.ndarray, cooperation: np.ndarray, model: SignalModel
-) -> ForcingTerms:
-    """Vectorized forcing terms of the steady-state variance relation.
+def _forcing(
+    model: SignalModel, operators, rho: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block traces (N, N) of the gradient-noise, spread and cross forcing, from
+    ``_operators`` and its transition's spectral radius.
 
     The cross term is the steady-state limit of the error/spread coupling
     recursion, written in closed form through the mean transition.
-    Requires a mean-stable configuration.
     """
-    lift = _lift(combine, cooperation, model)
-    return _forcing_terms(model, lift, spectral_radius(lift[2]))
-
-
-def _forcing_terms(model: SignalModel, lift, rho: float) -> ForcingTerms:
-    """``msd_forcing_terms`` from a ``_lift`` and its transition's spectral radius."""
     if rho >= 1.0:
         raise ValueError(f"mean-unstable configuration, spectral radius {float(rho)}")
-    big_combine, big_coop, transition = lift
-    identity = np.eye(transition.shape[0])
-    mu = step_size_matrix(model)
-
-    merged = big_combine.T @ big_coop.T
-    noise_mat = merged @ mu @ gradient_noise_moment(model) @ mu @ merged.T
-    leak = big_combine.T @ (identity - big_coop.T)
-    spread_mat = leak @ model.parameter_second_moment @ leak.T
-
+    merged, leak, transition = operators
+    mu = model.step_size
+    noise_power = (mu * (model.noise_var * model.reg_power)) * mu
+    noise = model.dim * (merged * noise_power) @ merged.T
+    spread = leak @ model.second_moment_traces @ leak.T
     # geometric series limit of the error/spread coupling, no explicit inverse
+    identity = np.eye(transition.shape[0])
     geometric = np.linalg.solve((identity - transition).T, transition.T).T
-    cross_mat = spread_mat @ geometric.T
-    return ForcingTerms(
-        gradient_noise=vec(noise_mat),
-        parameter_spread=vec(spread_mat),
-        cross_limit=2.0 * vec(cross_mat),
-    )
-
-
-def _cluster_indicators(model: SignalModel) -> list[np.ndarray]:
-    stacked_of = np.repeat(model.cluster_of, model.dim)
-    return [np.diag((stacked_of == p).astype(float)) for p in range(model.n_clusters)]
+    return noise, spread, 2.0 * spread @ geometric.T
 
 
 def solve_stein(transition: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -212,26 +143,24 @@ def steady_state_msd(
     cluster indicator is one more right-hand side of the same solve, and
     the cluster deviation is ``<F, S_p> / size_p``.
     """
-    lift = _lift(combine, cooperation, model)
-    return _steady_state_msd(model, lift, spectral_radius(lift[2]), per_cluster)
+    operators = _operators(combine, cooperation, model)
+    return _steady_state_msd(model, operators, spectral_radius(operators[2]), per_cluster)
 
 
-def _steady_state_msd(model: SignalModel, lift, rho: float, per_cluster: bool):
-    """``steady_state_msd`` from a ``_lift`` and its transition's spectral radius."""
+def _steady_state_msd(model: SignalModel, operators, rho: float, per_cluster: bool):
+    """``steady_state_msd`` from ``_operators`` and its transition's spectral radius."""
     rho_variance = rho**2
     if rho_variance >= 1.0:
         raise ValueError(f"mean-square-unstable configuration, variance radius {float(rho_variance)}")
-    terms = _forcing_terms(model, lift, rho)
-    transition = lift[2]
+    noise, spread, cross = _forcing(model, operators, rho)
 
-    rhs = [np.eye(transition.shape[0])]
+    rhs = [np.eye(model.n_nodes)]
     if per_cluster:
-        rhs.extend(_cluster_indicators(model))
-    # column-major vectorization of each solution, as in the forcing terms
-    solution = np.swapaxes(solve_stein(transition, np.stack(rhs)), 1, 2).reshape(len(rhs), -1)
+        rhs.extend(np.diag((model.cluster_of == p).astype(float)) for p in range(model.n_clusters))
+    solution = solve_stein(operators[2], np.stack(rhs)).reshape(len(rhs), -1)
 
-    full = terms.gradient_noise + terms.parameter_spread + terms.cross_limit
-    approx = terms.gradient_noise + terms.parameter_spread
+    full = (noise + spread + cross).reshape(-1)
+    approx = (noise + spread).reshape(-1)
     n_nodes = model.n_nodes
     msd = float(full @ solution[0]) / n_nodes
     msd_approx = float(approx @ solution[0]) / n_nodes
@@ -242,6 +171,11 @@ def _steady_state_msd(model: SignalModel, lift, rho: float, per_cluster: bool):
         [float(full @ solution[1 + p]) / sizes[p] for p in range(model.n_clusters)]
     )
     return msd, msd_approx, cluster_msd
+
+
+def _db(value: "float | None") -> "float | None":
+    """``10 log10(value)``; None for None or a nonpositive value."""
+    return None if value is None or value <= 0.0 else 10.0 * float(np.log10(value))
 
 
 @dataclass(frozen=True)
@@ -260,11 +194,11 @@ class TheoryReport:
 
     @property
     def msd_db(self) -> "float | None":
-        return None if self.msd is None else 10.0 * float(np.log10(self.msd))
+        return _db(self.msd)
 
     @property
     def msd_approx_db(self) -> "float | None":
-        return None if self.msd_approx is None else 10.0 * float(np.log10(self.msd_approx))
+        return _db(self.msd_approx)
 
     def to_dict(self) -> dict:
         return {
@@ -292,13 +226,13 @@ def analyze(
 
     ``rho_variance``, the radius of ``S -> B' S B``, is exactly ``rho_mean**2``.
     """
-    lift = _lift(combine, cooperation, model)
-    rho_mean = spectral_radius(lift[2])
+    operators = _operators(combine, cooperation, model)
+    rho_mean = spectral_radius(operators[2])
     bounds, mean_stable = mean_stability_bounds(model)
     stable = rho_mean < 1.0
     msd = msd_approx = cluster_msd = None
     if stable:
-        msd, msd_approx, *split = _steady_state_msd(model, lift, rho_mean, per_cluster)
+        msd, msd_approx, *split = _steady_state_msd(model, operators, rho_mean, per_cluster)
         cluster_msd = split[0] if per_cluster else None
     return TheoryReport(
         rho_mean=rho_mean,

@@ -25,7 +25,6 @@ __all__ = [
     "metropolis_weights",
     "averaging_rule_weights",
     "cooperation_from_regularizer",
-    "kron_expand",
     "validate_column_stochastic",
 ]
 
@@ -149,13 +148,16 @@ class ClusteredTopology:
         edges: "list[tuple[int, int]] | tuple[tuple[int, int], ...]",
         cluster_of: "list[int] | tuple[int, ...] | np.ndarray",
     ) -> "ClusteredTopology":
-        """Build a topology from an undirected edge list without self-loops."""
+        """Build a topology from an undirected edge list without self-loops or
+        repeated edges."""
         adjacency = np.eye(n_nodes, dtype=bool)
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop ({a}, {b}) is implicit, do not list it")
             if not (0 <= a < n_nodes and 0 <= b < n_nodes):
                 raise ValueError(f"edge ({a}, {b}) references a node outside 0..{n_nodes - 1}")
+            if adjacency[a, b]:
+                raise ValueError(f"edge ({a}, {b}) is listed twice, in one direction or both")
             adjacency[a, b] = adjacency[b, a] = True
         return cls(adjacency=adjacency, cluster_of=np.asarray(cluster_of))
 
@@ -224,16 +226,16 @@ def cooperation_from_regularizer(
     topology: ClusteredTopology,
     rho: np.ndarray,
     eta: float,
-    step_sizes: "float | np.ndarray",
+    step_size: float,
 ) -> np.ndarray:
     """Map regularizer weights and strength into cooperation weights.
 
-    Off-diagonal column entries become ``mu_k * eta * rho[l, k]`` on the
+    Off-diagonal column entries become ``mu * eta * rho[l, k]`` on the
     inter-cluster support and the diagonal absorbs the remainder. The
     diagonal must stay nonnegative, which bounds how aggressive the
     regularizer translation can be for a given step size.
     """
-    scale = np.broadcast_to(np.asarray(step_sizes, dtype=float), (topology.n_nodes,)) * eta
+    scale = step_size * eta
     rho = np.where(topology.adjacency & ~topology.intra, np.asarray(rho, dtype=float), 0.0)
     coop = scale * rho
     diagonal = 1.0 - scale * rho.sum(axis=0)
@@ -246,8 +248,3 @@ def cooperation_from_regularizer(
         )
     np.fill_diagonal(coop, diagonal)
     return coop
-
-
-def kron_expand(weights: np.ndarray, block_dim: int) -> np.ndarray:
-    """Expand an (N, N) weight matrix to (N*block_dim, N*block_dim) blocks."""
-    return np.kron(np.asarray(weights, dtype=float), np.eye(block_dim))

@@ -22,7 +22,6 @@ from .signal_model import SignalModel
 from .topology import ClusteredTopology
 
 __all__ = [
-    "project_simplex",
     "QPSolution",
     "solve_simplex_qp_batch",
     "solve_local_columns",
@@ -30,7 +29,6 @@ __all__ = [
     "CentralizedQP",
     "build_centralized_qp",
     "solve_p1",
-    "block_trace",
 ]
 
 EPS_RIDGE = 1e-12
@@ -38,33 +36,6 @@ KKT_ACTIVE_TOL = 1e-10
 KKT_TOL = 1e-8
 # a multiplier counts as negative below this fraction of the data's scale
 MULTIPLIER_TOL = 1e-13
-
-
-def project_simplex(v: np.ndarray, mask: "np.ndarray | None" = None) -> np.ndarray:
-    """Euclidean projection onto the probability simplex along the last axis.
-
-    Sort-and-threshold method: with the entries sorted in decreasing
-    order, find the largest prefix whose running average shifted to unit
-    sum stays below its last element, then clip at that shift. With a
-    boolean ``mask`` each row is projected onto the simplex over its
-    ``True`` entries and is zero elsewhere.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0 or v.shape[-1] == 0:
-        raise ValueError("expects a nonempty vector")
-    if mask is not None:
-        if not np.all(np.any(mask, axis=-1)):
-            raise ValueError("every row needs a nonempty support")
-        # off-support entries sort last and never pass the threshold test
-        v = np.where(mask, v, -np.inf)
-    u = np.sort(v, axis=-1)[..., ::-1]
-    cumulative = np.cumsum(u, axis=-1)
-    ranks = np.arange(1, v.shape[-1] + 1)
-    inside = (1.0 - cumulative) / ranks > -u
-    count = np.where(inside, ranks, 0).max(axis=-1)
-    rows = np.arange(count.size).reshape(count.shape)
-    shift = (1.0 - cumulative.reshape(-1, v.shape[-1])[rows, count - 1]) / count
-    return np.clip(v + shift[..., None], 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -284,19 +255,12 @@ def _triangle_minimum(quad: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np
 _CLOSED_FORMS = {2: _segment_minimum, 3: _triangle_minimum}
 
 
-def block_trace(matrix: np.ndarray, block_dim: int) -> np.ndarray:
-    """Compress an (N*M, N*M) matrix to the (N, N) matrix of block traces."""
-    n = matrix.shape[0] // block_dim
-    blocks = matrix.reshape(n, block_dim, n, block_dim)
-    return np.einsum("imjm->ij", blocks)
-
-
 def _moment_tables(model: SignalModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node gradient-noise power ``mu^2 sigma_v^2 tr(R_u)`` and the
-    block-traced parameter second moment."""
-    mu = model.uniform_step_size()
-    noise_term = (mu**2) * model.noise_var * np.einsum("nii->n", model.reg_cov)
-    return noise_term, block_trace(model.parameter_second_moment, model.dim)
+    """Per-node gradient-noise power ``mu^2 sigma_v^2 tr(R_u)``, with
+    ``tr(R_u) = M r``, and the block-traced parameter second moment."""
+    mu = model.step_size
+    noise_term = (mu**2) * model.noise_var * (model.dim * model.reg_power)
+    return noise_term, model.second_moment_traces
 
 
 def solve_local_columns(
@@ -332,8 +296,7 @@ def solve_p2_all_nodes(
     model: SignalModel, topology: ClusteredTopology
 ) -> tuple[np.ndarray, list[QPSolution]]:
     """Solve every node's local program from the exact moments, certifying
-    each by the KKT residual of its exact point. Requires a uniform step
-    size.
+    each by the KKT residual of its exact point.
     """
     n = topology.n_nodes
     noise_term, second_moment = _moment_tables(model)

@@ -3,26 +3,27 @@
 Everything here deliberately takes a different route than the library
 code it validates: explicit index loops instead of vectorized identities,
 exhaustive grids instead of closed-form solvers, fixed-point iteration
-instead of linear solves, python sets instead of masked arrays. Slow is
-fine; these only ever run on small instances.
+instead of linear solves, python sets instead of masked arrays, the
+stacked (N*M, N*M) theory instead of its N x N factors. Slow is fine;
+these only ever run on small instances.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from maicnet import weight_opt
 from maicnet.signal_model import SignalModel, _psd_sqrt
 from maicnet.strategies import StrategyState, adapt, intra_cluster_combine, row_dot
-from maicnet.theory import SIZE_CAP, _stack_block_diag, spectral_radius, step_size_matrix
-from maicnet.topology import ClusteredTopology, kron_expand
+from maicnet.theory import SIZE_CAP, solve_stein, spectral_radius
+from maicnet.topology import ClusteredTopology
 from maicnet.weight_opt import (
     EPS_RIDGE,
     KKT_TOL,
     QPSolution,
     build_centralized_qp,
     kkt_residual,
-    project_simplex,
 )
 
 
@@ -65,6 +66,33 @@ def grid_nearest_simplex_point(
     distances = np.sum((grid - point) ** 2, axis=1)
     best = int(np.argmin(distances))
     return grid[best], float(distances[best])
+
+
+def project_simplex(v: np.ndarray, mask: "np.ndarray | None" = None) -> np.ndarray:
+    """Euclidean projection onto the probability simplex along the last axis.
+
+    Sort-and-threshold method: with the entries sorted in decreasing
+    order, find the largest prefix whose running average shifted to unit
+    sum stays below its last element, then clip at that shift. With a
+    boolean ``mask`` each row is projected onto the simplex over its
+    ``True`` entries and is zero elsewhere.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError("expects a nonempty vector")
+    if mask is not None:
+        if not np.all(np.any(mask, axis=-1)):
+            raise ValueError("every row needs a nonempty support")
+        # off-support entries sort last and never pass the threshold test
+        v = np.where(mask, v, -np.inf)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    cumulative = np.cumsum(u, axis=-1)
+    ranks = np.arange(1, v.shape[-1] + 1)
+    inside = (1.0 - cumulative) / ranks > -u
+    count = np.where(inside, ranks, 0).max(axis=-1)
+    rows = np.arange(count.size).reshape(count.shape)
+    shift = (1.0 - cumulative.reshape(-1, v.shape[-1])[rows, count - 1]) / count
+    return np.clip(v + shift[..., None], 0.0, None)
 
 
 def neighbor_sets(n_nodes, edges, cluster_of):
@@ -127,22 +155,21 @@ def averaging_rule_weights_loop(topology: ClusteredTopology) -> np.ndarray:
 
 
 def cooperation_from_regularizer_loop(
-    topology: ClusteredTopology, rho: np.ndarray, eta: float, step_sizes
+    topology: ClusteredTopology, rho: np.ndarray, eta: float, step_size: float
 ) -> np.ndarray:
     """``topology.cooperation_from_regularizer`` node by node, with the same
     error on the first node whose diagonal turns negative."""
     _, inter, _ = neighbor_lists(topology)
     n = topology.n_nodes
-    mu = np.broadcast_to(np.asarray(step_sizes, dtype=float), (n,))
     rho = np.asarray(rho, dtype=float)
     coop = np.zeros((n, n))
     for k in range(n):
         group = list(inter[k])
         total = 0.0
         for l in group:
-            coop[l, k] = mu[k] * eta * rho[l, k]
+            coop[l, k] = step_size * eta * rho[l, k]
             total += rho[l, k]
-        coop[k, k] = 1.0 - mu[k] * eta * total
+        coop[k, k] = 1.0 - step_size * eta * total
         if coop[k, k] < 0.0:
             raise ValueError(
                 f"cooperation diagonal for node {k} is {float(coop[k, k])}; "
@@ -198,13 +225,24 @@ def stacked_parameter_moments(cluster_of, dim, cluster_means, sigma_w, spread_sc
     return mean_stack, cov_stack, _psd_sqrt(collapsed, "cluster parameter covariance")
 
 
+def regressor_covariances(model: SignalModel) -> np.ndarray:
+    """(N, M, M) regressor covariances ``r_k I``, one node at a time."""
+    return np.stack([power * np.eye(model.dim) for power in model.reg_power])
+
+
+def regressor_roots(model: SignalModel) -> np.ndarray:
+    """(N, M, M) symmetric square roots ``sqrt(r_k) I`` of the regressor
+    covariances, for coloring white draws as a matrix product."""
+    return np.stack([np.sqrt(power) * np.eye(model.dim) for power in model.reg_power])
+
+
 def mean_transition_reference(combine, cooperation, model) -> np.ndarray:
     """Stacked mean transition assembled from looped block expansions."""
     dim = model.dim
     big_a = expand_blocks(np.asarray(combine, dtype=float), dim)
     big_g = expand_blocks(np.asarray(cooperation, dtype=float), dim)
-    mu = np.diag(np.repeat(model.step_sizes, dim))
-    ru = block_diagonal(model.reg_cov)
+    mu = model.step_size * np.eye(model.n_nodes * dim)
+    ru = block_diagonal(regressor_covariances(model))
     return big_a.T @ big_g.T @ (np.eye(model.n_nodes * dim) - mu @ ru)
 
 
@@ -214,8 +252,8 @@ def forcing_matrices_reference(combine, cooperation, model):
     size = model.n_nodes * dim
     big_a = expand_blocks(np.asarray(combine, dtype=float), dim)
     big_g = expand_blocks(np.asarray(cooperation, dtype=float), dim)
-    mu = np.diag(np.repeat(model.step_sizes, dim))
-    noise_blocks = block_diagonal(model.noise_var[:, None, None] * model.reg_cov)
+    mu = model.step_size * np.eye(size)
+    noise_blocks = block_diagonal(model.noise_var[:, None, None] * regressor_covariances(model))
     merged = big_a.T @ big_g.T
     noise_mat = merged @ mu @ noise_blocks @ mu @ merged.T
     leak = big_a.T @ (np.eye(size) - big_g.T)
@@ -242,6 +280,73 @@ def cross_forcing_fixed_point(
             return nxt
         current = nxt
     raise RuntimeError("coupling fixed point did not converge")
+
+
+def vec(matrix: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization, consistent with kron identities."""
+    return np.asarray(matrix).reshape(-1, order="F")
+
+
+def mean_bias_vector(combine, cooperation, model) -> np.ndarray:
+    """Constant driving term of the stacked mean-error recursion.
+
+    Vanishes when every cluster shares the same mean parameter.
+    """
+    big_a = expand_blocks(np.asarray(combine, dtype=float), model.dim)
+    big_g = expand_blocks(np.asarray(cooperation, dtype=float), model.dim)
+    return big_a.T @ (np.eye(big_a.shape[0]) - big_g.T) @ model.mean_stack
+
+
+@dataclass(frozen=True)
+class ForcingTerms:
+    gradient_noise: np.ndarray  # vectorized, (N*M)**2
+    parameter_spread: np.ndarray
+    cross_limit: np.ndarray
+
+
+def msd_forcing_terms(combine, cooperation, model) -> ForcingTerms:
+    """Vectorized stacked forcing terms of the steady-state variance relation.
+
+    The cross term is the steady-state limit of the error/spread coupling
+    recursion, written in closed form through the mean transition.
+    Requires a mean-stable configuration.
+    """
+    transition = mean_transition_reference(combine, cooperation, model)
+    rho = spectral_radius(transition)
+    if rho >= 1.0:
+        raise ValueError(f"mean-unstable configuration, spectral radius {float(rho)}")
+    noise_mat, spread_mat = forcing_matrices_reference(combine, cooperation, model)
+    identity = np.eye(transition.shape[0])
+    geometric = np.linalg.solve((identity - transition).T, transition.T).T
+    return ForcingTerms(
+        gradient_noise=vec(noise_mat),
+        parameter_spread=vec(spread_mat),
+        cross_limit=2.0 * vec(spread_mat @ geometric.T),
+    )
+
+
+def lifted_analysis(combine, cooperation, model):
+    """``(rho_mean, msd, msd_approx, cluster_msd)`` on the stacked (N*M, N*M)
+    matrices: one Stein solve per cluster indicator, and ``<F, S> / N``."""
+    n, dim = model.n_nodes, model.dim
+    if n * dim > SIZE_CAP:
+        raise ValueError(f"stacked dimension {n * dim} exceeds the size cap {SIZE_CAP}")
+    transition = mean_transition_reference(combine, cooperation, model)
+    terms = msd_forcing_terms(combine, cooperation, model)
+    stacked_of = np.repeat(model.cluster_of, dim)
+    rhs = [np.eye(n * dim)]
+    rhs.extend(np.diag((stacked_of == p).astype(float)) for p in range(model.n_clusters))
+    solution = [vec(s) for s in solve_stein(transition, np.stack(rhs))]
+    full = terms.gradient_noise + terms.parameter_spread + terms.cross_limit
+    approx = terms.gradient_noise + terms.parameter_spread
+    sizes = np.bincount(model.cluster_of, minlength=model.n_clusters)
+    cluster_msd = np.array([full @ solution[1 + p] / sizes[p] for p in range(model.n_clusters)])
+    return (
+        spectral_radius(transition),
+        float(full @ solution[0]) / n,
+        float(approx @ solution[0]) / n,
+        cluster_msd,
+    )
 
 
 def variance_transition(transition: np.ndarray, size_cap: int = SIZE_CAP) -> np.ndarray:
@@ -273,12 +378,15 @@ def lifted_transition_bruteforce(transition: np.ndarray) -> np.ndarray:
     return out
 
 
-def project_columns_loop(coop: np.ndarray, support_mask: np.ndarray) -> np.ndarray:
-    """Project each column onto the simplex over its support, one at a time."""
+def project_columns_loop(
+    coop: np.ndarray, support_mask: np.ndarray, project=project_simplex
+) -> np.ndarray:
+    """Project each column onto the simplex over its support, one at a time,
+    with ``project`` as it was defined, even where a test replaces the name."""
     out = np.zeros_like(coop)
     for k in range(coop.shape[1]):
         idx = np.flatnonzero(support_mask[:, k])
-        out[idx, k] = project_simplex(coop[idx, k])
+        out[idx, k] = project(coop[idx, k])
     return out
 
 
@@ -323,8 +431,8 @@ def sampled_variance_transition(
     dim, n = model.dim, model.n_nodes
     if n * dim > size_cap:
         raise ValueError(f"stacked dimension {n * dim} exceeds the size cap {size_cap}")
-    big = kron_expand(combine, dim).T @ kron_expand(cooperation, dim).T
-    mu = step_size_matrix(model)
+    big = expand_blocks(combine, dim).T @ expand_blocks(cooperation, dim).T
+    mu = model.step_size
     identity = np.eye(n * dim)
 
     n_batches = max(1, min(n_batches, n_samples))
@@ -335,11 +443,9 @@ def sampled_variance_transition(
     for size in batch_sizes:
         batch_sum = np.zeros_like(total)
         for _ in range(int(size)):
-            u = np.einsum(
-                "nij,nj->ni", model._reg_sqrt, rng.standard_normal((n, dim))
-            )
-            inst_cov = _stack_block_diag(np.einsum("ni,nj->nij", u, u))
-            inst = big @ (identity - mu @ inst_cov)
+            u = np.sqrt(model.reg_power)[:, None] * rng.standard_normal((n, dim))
+            inst_cov = block_diagonal(np.einsum("ni,nj->nij", u, u))
+            inst = big @ (identity - mu * inst_cov)
             batch_sum += np.kron(inst.T, inst.T)
         batch_means.append(batch_sum / size)
         total += batch_sum
@@ -376,13 +482,13 @@ def random_cooperation(topology, rng: np.random.Generator) -> np.ndarray:
     return coop
 
 
-def loop_maic_step(w, regressors, responses, combine, cooperation, step_sizes):
+def loop_maic_step(w, regressors, responses, combine, cooperation, step_size):
     """One adapt/cooperate/combine round written as per-node loops."""
     n, dim = w.shape
     psi = np.empty_like(w)
     for k in range(n):
         err = responses[k] - float(regressors[k] @ w[k])
-        psi[k] = w[k] + step_sizes[k] * err * regressors[k]
+        psi[k] = w[k] + step_size * err * regressors[k]
     phi = np.empty_like(w)
     for k in range(n):
         acc = np.zeros(dim)
@@ -461,10 +567,10 @@ def atc_step(
     regressors: np.ndarray,
     responses: np.ndarray,
     combine: np.ndarray,
-    step_sizes: np.ndarray,
+    step_size: float,
 ) -> np.ndarray:
     """Adapt then combine, no information crossing cluster borders."""
-    psi = adapt(state.weights, regressors, responses, step_sizes)
+    psi = adapt(state.weights, regressors, responses, step_size)
     new = intra_cluster_combine(psi, combine)
     state.weights = new
     return new
@@ -571,8 +677,9 @@ def local_program(
     node's own parameter.
     """
     support = tuple(neighbor_lists(topology)[2][node])
-    mu = model.uniform_step_size()
+    mu = model.step_size
     dim = model.dim
+    reg_cov = regressor_covariances(model)
     second = model.parameter_second_moment
 
     def trace_of_block(a, b):
@@ -580,7 +687,7 @@ def local_program(
 
     quad = np.array([[trace_of_block(a, b) for b in support] for a in support])
     for i, a in enumerate(support):
-        quad[i, i] += mu**2 * model.noise_var[a] * np.trace(model.reg_cov[a])
+        quad[i, i] += mu**2 * model.noise_var[a] * np.trace(reg_cov[a])
     lin = np.array([trace_of_block(a, node) for a in support])
     return support, quad, lin
 
@@ -647,7 +754,7 @@ def solve_p1_fista(
     """Solve the centralized program by accelerated projected gradient.
 
     Columns are projected independently onto their support simplices by
-    ``weight_opt.project_simplex``, looked up at call time. The returned
+    ``project_simplex``, looked up at call time. The returned
     certificate carries the worst per-column KKT residual.
     """
     qp = build_centralized_qp(model, topology, combine)
@@ -663,7 +770,7 @@ def solve_p1_fista(
         grad_now = qp.gradient(point)
         return max(kkt_residual(point[idx, k], grad_now[idx, k]) for k, idx in enumerate(columns))
 
-    coop = weight_opt.project_simplex(np.where(mask, 1.0, 0.0).T, mask.T).T
+    coop = project_simplex(np.where(mask, 1.0, 0.0).T, mask.T).T
     momentum = coop.copy()
     t = 1.0
     residual = float("inf")
@@ -671,7 +778,7 @@ def solve_p1_fista(
     check_every = 25
     for iterations in range(1, max_iters + 1):
         grad = qp.gradient(momentum)
-        coop_next = weight_opt.project_simplex((momentum - step * grad).T, mask.T).T
+        coop_next = project_simplex((momentum - step * grad).T, mask.T).T
         if np.vdot(momentum - coop_next, coop_next - coop) > 0.0:
             t = 1.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -697,14 +804,15 @@ def centralized_objective_expanded(
     trace compression, to cross-check the reduced evaluator.
     """
     dim = model.dim
-    mu = model.uniform_step_size()
-    combine_big = kron_expand(combine, dim)
-    coop_big = kron_expand(coop, dim)
+    mu = model.step_size
+    combine_big = expand_blocks(combine, dim)
+    coop_big = expand_blocks(coop, dim)
     gram = combine_big @ combine_big.T
     noise_big = np.zeros_like(gram)
+    reg_cov = regressor_covariances(model)
     for k in range(model.n_nodes):
         block = slice(k * dim, (k + 1) * dim)
-        noise_big[block, block] = model.noise_var[k] * model.reg_cov[k]
+        noise_big[block, block] = model.noise_var[k] * reg_cov[k]
     second = model.parameter_second_moment
     quad_term = (mu**2) * noise_big + second
     kron_quad = np.kron(gram, quad_term)

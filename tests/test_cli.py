@@ -93,6 +93,16 @@ class TestTopologyInspect:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and "segments" in err
 
+    def test_repeated_edge_fails_with_one_error_line(self, capsys, tmp_path):
+        edges = [(0, 1), (1, 2), (2, 1)]
+        spec = write_scenario(tmp_path / "twice.json", (0, 0, 1), edges, 1, ("atc",))
+        code, out, err = run_cli(capsys, "topology", "inspect", "--scenario", str(spec))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: edge (2, 1) is listed twice, in one direction or both"
+        ]
+
     def test_cluster_partition_is_consistent(self, capsys):
         code, out, _ = run_cli(capsys, "topology", "inspect", "--scenario", "b")
         report = json.loads(out)
@@ -290,6 +300,21 @@ class TestSimulate:
         assert completed.stderr == ""
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["strategies"]["atc"]["steady_se"] is None
+
+    def test_noiseless_scenario_prints_no_warning(self, capsys, tmp_path):
+        # without noise the closed-form MSD of atc and maic-p1 is exactly 0:
+        # its dB value is null, not log10(0), which the test filter makes an error
+        spec = tmp_path / "noiseless.json"
+        scenario = presets.get_scenario("a", runs=3, iterations=40)
+        replace(scenario, noise_var=(0.0,) * scenario.n_nodes).to_json(spec)
+        out_dir = tmp_path / "sim"
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(spec), "--out", str(out_dir))
+        assert code == 0, err
+        summary = json.loads((out_dir / "summary.json").read_text())
+        for name in ("atc", "maic-p1"):
+            report = summary["strategies"][name]["theory"][0]
+            assert report["msd"] == 0.0
+            assert report["msd_db"] is None and report["msd_approx_db"] is None
 
     def test_scenario_json_round_trip_through_cli(self, capsys, tmp_path):
         scenario = presets.get_scenario(

@@ -360,6 +360,7 @@ class TestSeeding:
             spread_scale=scenario.spread_scale,
             gamma=seg.gamma,
         )
+        reg_sqrt = np.sqrt(model.reg_power)[:, None, None] * np.eye(scenario.dim)
         total = hashlib.sha256()
         for r in range(scenario.runs):
             rng = np.random.default_rng(
@@ -368,7 +369,7 @@ class TestSeeding:
             w = np.empty((1, 10, scenario.dim))
             w[0] = sample_parameters(model, rng)
             z = rng.standard_normal((scenario.iterations, 10, scenario.dim))
-            u = np.einsum("nij,tnj->tni", model._reg_sqrt, z)
+            u = np.einsum("nij,tnj->tni", reg_sqrt, z)
             v = rng.standard_normal((scenario.iterations, 10)) * np.sqrt(model.noise_var)
             digest = hashlib.sha256()
             digest.update(w.tobytes())
@@ -400,21 +401,21 @@ class TestSeeding:
         )
         horizon = scenario.iterations
         window_start = horizon - max(1, round(0.1 * horizon))
-        mu = np.full(10, scenario.step_size)
+        reg_sqrt = np.sqrt(model.reg_power)[:, None, None] * np.eye(2)
         for r in range(scenario.runs):
             rng = np.random.default_rng(
                 np.random.SeedSequence((scenario.master_seed, r))
             )
             w_true = sample_parameters(model, rng)
             z = rng.standard_normal((horizon, 10, 2))
-            u = np.einsum("nij,tnj->tni", model._reg_sqrt, z)
+            u = np.einsum("nij,tnj->tni", reg_sqrt, z)
             v = rng.standard_normal((horizon, 10)) * np.sqrt(model.noise_var)
             d = np.einsum("tnm,nm->tn", u, w_true) + v
 
             state = strategies.init_state(10, 2)
             acc = 0.0
             for t in range(horizon):
-                atc_step(state, u[t], d[t], combine, mu)
+                atc_step(state, u[t], d[t], combine, scenario.step_size)
                 if t >= window_start:
                     diff = w_true - state.weights
                     acc += float(np.einsum("nm,nm->n", diff, diff).sum())
@@ -821,8 +822,9 @@ class TestThreadedDraws:
         assert seen == [(threading.get_ident(), r) for r in range(2, 9) for _ in range(segments)]
 
     def test_thread_count_follows_usable_cpus_and_pool_processes(self, monkeypatch):
-        # each chunk's threads: CPUs // drawing processes, the pool's workers
-        # only when the pool runs (an in-process stand-in records the tasks)
+        # each chunk's threads: CPUs // drawing processes, the pool's workers or
+        # its chunks if fewer, only when the pool runs (an in-process stand-in
+        # records the tasks)
         requested = []
         draw = harness._draw_chunk
 
@@ -848,13 +850,15 @@ class TestThreadedDraws:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(6)))
         one_chunk = small("b", runs=3, iterations=20, strategies=("atc",))
         two_chunks = replace(one_chunk, runs=harness.CHUNK_SIZE + 1)
+        three_chunks = replace(one_chunk, runs=2 * harness.CHUNK_SIZE + 1)
         for scenario, workers, expected in (
             (one_chunk, 1, [6]),
             (one_chunk, 4, [6]),  # one chunk: no pool
             (two_chunks, 1, [6, 6]),
             (two_chunks, 2, [3, 3]),
-            (two_chunks, 4, [1, 1]),
-            (two_chunks, 8, [1, 1]),
+            (two_chunks, 4, [3, 3]),  # two chunks: two processes draw
+            (two_chunks, 8, [3, 3]),
+            (three_chunks, 4, [2, 2, 2]),
         ):
             requested.clear()
             run_scenario(scenario, workers=workers)

@@ -20,7 +20,7 @@ from maicnet.signal_model import (
     parameter_moments_from_correlation,
     sample_parameters,
 )
-from oracles import broadcast_color, einsum_color, stacked_parameter_moments
+from oracles import broadcast_color, einsum_color, regressor_roots, stacked_parameter_moments
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -113,20 +113,24 @@ class TestMomentConstruction:
 
 class TestModelValidation:
     def test_regressor_covariance_must_be_psd(self, line_model):
-        bad = line_model.reg_cov.copy()
-        bad[0] = -np.eye(1)
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            replace(line_model, reg_cov=bad)
+        # node k's covariance is reg_power[k] * I: a nonpositive power is refused
+        for bad in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="reg_power must be a length-N vector of positive"):
+                replace(line_model, reg_power=np.array([bad, 1.3, 0.8, 1.1]))
 
     def test_negative_noise_rejected(self, line_model):
         with pytest.raises(ValueError):
             replace(line_model, noise_var=np.array([-0.1, 0.1, 0.1, 0.1]))
 
-    def test_uniform_step_size_requires_uniformity(self, line_model):
-        assert line_model.uniform_step_size() == 0.1
-        uneven = replace(line_model, step_sizes=np.array([0.1, 0.1, 0.2, 0.1]))
-        with pytest.raises(ValueError, match="not uniform"):
-            uneven.uniform_step_size()
+    def test_step_size_must_be_nonnegative(self, line_model):
+        assert line_model.step_size == 0.1
+        assert replace(line_model, step_size=0.0).step_size == 0.0
+        with pytest.raises(ValueError, match="step_size must be nonnegative, got -0.1"):
+            replace(line_model, step_size=-0.1)
+
+    def test_fields_are_read_only(self, line_model):
+        with pytest.raises(ValueError, match="read-only"):
+            line_model.reg_power[0] = 2.0
 
 
 class TestSampling:
@@ -154,33 +158,27 @@ class TestSampling:
         assert np.allclose(power, [1.0, 1.3, 0.8, 1.1], atol=0.05)
 
     @staticmethod
-    def _colored_both_ways(reg_cov, reference=einsum_color):
-        n, dim = reg_cov.shape[:2]
+    def _colored_both_ways(power, dim, reference=einsum_color):
+        n = power.size
         model = SignalModel(
-            dim=dim, reg_cov=reg_cov, noise_var=np.ones(n), step_sizes=np.full(n, 0.1),
+            dim=dim, reg_power=power, noise_var=np.ones(n), step_size=0.1,
             cluster_means=np.zeros((1, dim)), cluster_cov=np.eye(dim),
             cluster_of=np.zeros(n, dtype=int),
         )
         u = draw_regressors(model, 50, np.random.default_rng(dim))
         z = np.random.default_rng(dim).standard_normal((50, n, dim))
-        return u, reference(model._reg_sqrt, z)
+        return u, reference(regressor_roots(model), z)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_isotropic_coloring_matches_the_einsum_bitwise(self, dim):
         power = np.random.default_rng(dim).uniform(0.5, 2.0, 6)
-        u, expected = self._colored_both_ways(power[:, None, None] * np.eye(dim))
-        assert np.array_equal(u, expected)
-
-    def test_general_coloring_matches_the_einsum_bitwise_at_two_coordinates(self):
-        roots = np.random.default_rng(9).standard_normal((6, 2, 2))
-        u, expected = self._colored_both_ways(roots @ roots.transpose(0, 2, 1) + 0.1 * np.eye(2))
+        u, expected = self._colored_both_ways(power, dim)
         assert np.array_equal(u, expected)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_coloring_matches_the_broadcast_reference_bitwise(self, dim):
-        roots = np.random.default_rng(10 + dim).standard_normal((6, dim, dim))
-        reg_cov = roots @ roots.transpose(0, 2, 1) + 0.1 * np.eye(dim)
-        u, expected = self._colored_both_ways(reg_cov, broadcast_color)
+        power = np.random.default_rng(10 + dim).uniform(0.1, 3.0, 6)
+        u, expected = self._colored_both_ways(power, dim, broadcast_color)
         assert np.array_equal(u, expected)
         assert u.shape == (50, 6, dim)
         assert np.moveaxis(u, -1, 0).flags.c_contiguous  # laid out (M, T, N)

@@ -49,7 +49,7 @@ class TestAdapt:
     def test_scalar_frozen_value(self):
         # w = 0, mu = 0.1, u = 1, d = 2 gives psi = 0.2 exactly
         psi = adapt(
-            np.zeros((1, 1)), np.ones((1, 1)), np.array([2.0]), np.array([0.1])
+            np.zeros((1, 1)), np.ones((1, 1)), np.array([2.0]), 0.1
         )
         assert psi.tolist() == [[0.2]]
 
@@ -58,18 +58,18 @@ class TestAdapt:
         n, dim = 5, 3
         w = rng.standard_normal((n, dim))
         u, d = _draw_inputs(rng, n, dim)
-        mu = rng.uniform(0.01, 0.2, size=n)
+        mu = float(rng.uniform(0.01, 0.2))
         psi = adapt(w, u, d, mu)
         for k in range(n):
             err = d[k] - float(u[k] @ w[k])
-            assert np.allclose(psi[k], w[k] + mu[k] * err * u[k], atol=1e-14)
+            assert np.allclose(psi[k], w[k] + mu * err * u[k], atol=1e-14)
 
     def test_batched_adapt_equals_loop_over_batch(self):
         rng = np.random.default_rng(1)
         n, dim, batch = 4, 2, 7
         w = rng.standard_normal((batch, n, dim))
         u, d = _draw_inputs(rng, n, dim, (batch,))
-        mu = np.full(n, 0.1)
+        mu = 0.1
         together = adapt(w, u, d, mu)
         for b in range(batch):
             assert np.array_equal(together[b], adapt(w[b], u[b], d[b], mu))
@@ -152,12 +152,12 @@ class TestNodeMixing:
         )
 
         regularizer = rng.random((n, n))
-        mu = rng.uniform(0.01, 0.1, size=n)
+        mu = float(rng.uniform(0.01, 0.1))
         u, d = _draw_inputs(rng, n, dim, batch)
         state = init_state(n, dim, batch)
         state.weights = x.copy()
         mdlms_step(state, u, d, matrix, regularizer, 1.5, mu)
-        psi = adapt(x, u, d, mu) + mu[:, None] * 1.5 * einsum_mdlms_pull(x, regularizer)
+        psi = adapt(x, u, d, mu) + mu * 1.5 * einsum_mdlms_pull(x, regularizer)
         _assert_norm_close(state.weights, einsum_intra_cluster_combine(psi, matrix))
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -166,7 +166,7 @@ class TestNodeMixing:
         n = 24
         combine = rng.random((n, n))
         combine /= combine.sum(axis=0)
-        mu = np.full(n, 0.05)
+        mu = 0.05
         state_a = init_state(n, dim, (50,))
         state_b = init_state(n, dim, (50,))
         for _ in range(10):
@@ -185,7 +185,7 @@ class TestNodeMixing:
         matrix = rng.random((n, n))
         per_run = rng.random((batch, n, n))
         u, d = _draw_inputs(rng, n, dim, (batch,))
-        mu = np.full(n, 0.1)
+        mu = 0.1
 
         def mdlms(x):
             state = init_state(n, dim, (batch,))
@@ -217,7 +217,7 @@ class TestStepEquivalences:
     def test_maic_with_identity_cooperation_is_atc_bitwise(self):
         top = self._topology()
         combine = metropolis_weights(top)
-        mu = np.full(4, 0.1)
+        mu = 0.1
         rng = np.random.default_rng(5)
         state_a = init_state(4, 2, (6,))
         state_b = init_state(4, 2, (6,))
@@ -231,7 +231,7 @@ class TestStepEquivalences:
         top = self._topology()
         combine = metropolis_weights(top)
         rho = averaging_rule_weights(top)
-        mu = np.full(4, 0.1)
+        mu = 0.1
         rng = np.random.default_rng(6)
         state_a = init_state(4, 2, (6,))
         state_b = init_state(4, 2, (6,))
@@ -245,7 +245,7 @@ class TestStepEquivalences:
         top = self._topology()
         combine = metropolis_weights(top)
         rho = averaging_rule_weights(top)
-        mu = np.full(4, 3e-2)
+        mu = 3e-2
         states = [init_state(4, 1) for _ in range(3)]
         rng = np.random.default_rng(7)
         for _ in range(40):
@@ -266,7 +266,7 @@ class TestStepEquivalences:
         combine = metropolis_weights(top)
         rng = np.random.default_rng(60 + dim)
         coops = np.stack([np.eye(5)] + [random_cooperation(top, rng) for _ in range(2)])
-        mu = np.array([0.05, 0.1, 0.08, 0.12, 0.07])
+        mu = 0.08
         stacked = init_state(5, dim, (3, runs))
         alone = [init_state(5, dim, (runs,)) for _ in coops]
         for _ in range(6):
@@ -298,7 +298,7 @@ class TestMemoryOrder:
         combine = metropolis_weights(top)
         coop = random_cooperation(top, np.random.default_rng(dim))
         rho = averaging_rule_weights(top)
-        mu = np.array([0.05, 0.1, 0.08, 0.12, 0.07])
+        mu = 0.08
         rng = np.random.default_rng(40 + dim)
         start = rng.standard_normal(batch + (5, dim))
         inputs = [_draw_inputs(rng, 5, dim, batch) for _ in range(4)]
@@ -338,7 +338,7 @@ class TestMaicStep:
         coop[:, 1] = 0.0
         coop[1, 1] = 0.6
         coop[2, 1] = 0.4  # node 1 borrows from its inter-cluster neighbor 2
-        mu = np.array([0.05, 0.1, 0.08, 0.12])
+        mu = 0.08
         rng = np.random.default_rng(8)
         state = init_state(4, 3)
         w = state.weights.copy()
@@ -352,7 +352,7 @@ class TestMaicStep:
         top = ClusteredTopology.from_edges(4, ((0, 1), (1, 2), (2, 3)), (0, 0, 1, 1))
         combine = metropolis_weights(top)
         coop = random_cooperation(top, np.random.default_rng(9))
-        mu = np.full(4, 0.1)
+        mu = 0.1
         state = init_state(4, 2)
         u, d = _draw_inputs(np.random.default_rng(9), 4, 2)
         new = maic_step(state, u, d, combine, coop, mu)
@@ -368,7 +368,7 @@ class TestMdlmsStep:
         top = ClusteredTopology.from_edges(4, ((0, 1), (1, 2), (2, 3)), (0, 0, 1, 1))
         combine = metropolis_weights(top)
         rho = averaging_rule_weights(top)
-        mu = np.full(4, 0.1)
+        mu = 0.1
         eta = 2.5
         rng = np.random.default_rng(10)
         state = init_state(4, 2)
@@ -377,7 +377,7 @@ class TestMdlmsStep:
             u, d = _draw_inputs(rng, 4, 2)
             mdlms_step(state, u, d, combine, rho, eta, mu)
             psi = adapt(w_before, u, d, mu)
-            psi = psi + mu[:, None] * eta * loop_mdlms_pull(w_before, rho)
+            psi = psi + mu * eta * loop_mdlms_pull(w_before, rho)
             expected = intra_cluster_combine(psi, combine)
             assert np.allclose(state.weights, expected, atol=1e-13)
 
@@ -391,7 +391,7 @@ class TestAdaptiveStep:
 
     def test_learned_columns_are_stochastic_on_the_support(self):
         top, combine = self._setup()
-        mu = np.full(5, 0.1)
+        mu = 0.1
         state = init_state(5, 2, (3,), adaptive=True)
         rng = np.random.default_rng(11)
         mask = top.inter_plus
@@ -405,7 +405,7 @@ class TestAdaptiveStep:
 
     def test_isolated_nodes_keep_the_self_column(self):
         top, combine = self._setup()
-        mu = np.full(5, 0.1)
+        mu = 0.1
         state = init_state(5, 2, adaptive=True)
         rng = np.random.default_rng(12)
         for _ in range(4):
@@ -420,7 +420,7 @@ class TestAdaptiveStep:
 
     def test_increment_power_is_smoothed_on_the_support(self):
         top, combine = self._setup()
-        mu = np.full(5, 0.1)
+        mu = 0.1
         alpha = 0.7
         state = init_state(5, 1, adaptive=True)
         u, d = _draw_inputs(np.random.default_rng(13), 5, 1)
@@ -462,7 +462,7 @@ class TestAdaptiveStep:
 
     def test_fallback_counter_stays_zero_on_healthy_inputs(self):
         top, combine = self._setup()
-        mu = np.full(5, 0.1)
+        mu = 0.1
         state = init_state(5, 2, (2,), adaptive=True)
         rng = np.random.default_rng(14)
         for _ in range(5):

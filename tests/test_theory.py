@@ -1,38 +1,57 @@
-"""Closed-form mean and mean-square analysis against independent routes."""
+"""Closed-form mean and mean-square analysis against independent routes.
+
+The theory runs on N x N matrices. The references here run on the stacked
+(N*M, N*M) matrices, built by explicit block expansion, and check the
+identity ``X = X_N ⊗ I_M`` that lets the theory drop the lift.
+"""
 
 from __future__ import annotations
+
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from maicnet import harness, presets, theory
+from maicnet.signal_model import SignalModel, block_trace
 from maicnet.theory import (
     SIZE_CAP,
     TheoryReport,
     analyze,
     contraction_bound,
-    mean_bias_vector,
     mean_stability_bounds,
-    mean_transition,
-    msd_forcing_terms,
     spectral_radius,
     solve_stein,
     steady_state_msd,
-    vec,
 )
-from maicnet.topology import averaging_rule_weights, metropolis_weights
+from maicnet.topology import (
+    ClusteredTopology,
+    averaging_rule_weights,
+    cooperation_from_regularizer,
+    metropolis_weights,
+)
 from oracles import (
     cross_forcing_fixed_point,
+    expand_blocks,
     forcing_matrices_reference,
+    lifted_analysis,
     lifted_transition_bruteforce,
+    mean_bias_vector,
     mean_error_trajectory,
     mean_transition_reference,
+    msd_forcing_terms,
     msd_series,
     random_cooperation,
+    regressor_covariances,
     sampled_variance_transition,
     variance_transition,
+    vec,
 )
 
 SCALAR_MSD = 1e-4 / 0.19  # mu^2 sigma_v^2 sigma_u^2 / (1 - (1 - mu sigma_u^2)^2)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _line_weights(topology):
@@ -40,28 +59,59 @@ def _line_weights(topology):
 
 
 def _coop_from_regularizer(topology, model, eta=1.0):
-    from maicnet.topology import cooperation_from_regularizer
-
     rho = averaging_rule_weights(topology)
-    return cooperation_from_regularizer(topology, rho, eta=eta, step_sizes=model.step_sizes)
+    return cooperation_from_regularizer(topology, rho, eta=eta, step_size=model.step_size)
+
+
+def _dim3_model(topology):
+    """The line fixture's profiles with three parameters per node."""
+    return SignalModel.from_profiles(
+        topology,
+        dim=3,
+        reg_power=(1.0, 1.3, 0.8, 1.1),
+        noise_var=(0.02, 0.015, 0.025, 0.01),
+        step_size=0.1,
+        cluster_means=((1.0, 0.5, -0.2), (1.4, 0.9, 0.1)),
+        sigma_w=(1.0, 0.8),
+        spread_scale=0.05**2,
+        gamma=((1.0, 0.6), (0.6, 1.0)),
+    )
+
+
+def _line_models(topology, line_model):
+    return line_model, _dim3_model(topology)
+
+
+def _traced_forcing(combine, cooperation, model):
+    """The theory's (N, N) noise, spread and cross forcing."""
+    operators = theory._operators(combine, cooperation, model)
+    return theory._forcing(model, operators, spectral_radius(operators[2]))
+
+
+def _node_means(model):
+    """(N, M) parameter mean of every node."""
+    return model.cluster_means[model.cluster_of]
+
+
+def _relative(value, reference):
+    return np.max(np.abs(np.asarray(value) - reference)) / np.max(np.abs(reference))
 
 
 class TestMeanTransition:
     def test_matches_looped_block_assembly(self, two_cluster_line, line_model):
         combine, _ = _line_weights(two_cluster_line)
-        coop = _coop_from_regularizer(two_cluster_line, line_model)
-        transition = mean_transition(combine, coop, line_model)
-        reference = mean_transition_reference(combine, coop, line_model)
-        assert np.allclose(transition, reference, atol=1e-14)
+        for model in _line_models(two_cluster_line, line_model):
+            coop = _coop_from_regularizer(two_cluster_line, model)
+            transition = theory._operators(combine, coop, model)[2]
+            reference = mean_transition_reference(combine, coop, model)
+            assert np.allclose(expand_blocks(transition, model.dim), reference, atol=1e-14)
 
     def test_scalar_network_value(self, scalar_node):
         _, model = scalar_node
-        transition = mean_transition(np.eye(1), np.eye(1), model)
+        transition = theory._operators(np.eye(1), np.eye(1), model)[2]
         assert np.allclose(transition, [[0.9]])
 
     def test_bias_vanishes_for_shared_means(self, two_cluster_line):
-        from maicnet.signal_model import SignalModel
-
         model = SignalModel.from_profiles(
             two_cluster_line,
             dim=2,
@@ -75,20 +125,24 @@ class TestMeanTransition:
         )
         combine, _ = _line_weights(two_cluster_line)
         coop = _coop_from_regularizer(two_cluster_line, model)
-        bias = mean_bias_vector(combine, coop, model)
-        assert np.allclose(bias, 0.0, atol=1e-14)
+        leak = theory._operators(combine, coop, model)[1]
+        assert np.allclose(leak @ _node_means(model), 0.0, atol=1e-14)
+        assert np.allclose(mean_bias_vector(combine, coop, model), 0.0, atol=1e-14)
 
     def test_bias_nonzero_for_distinct_means(self, two_cluster_line, line_model):
         combine, _ = _line_weights(two_cluster_line)
-        coop = _coop_from_regularizer(two_cluster_line, line_model)
-        bias = mean_bias_vector(combine, coop, line_model)
-        assert np.linalg.norm(bias) > 1e-4
+        for model in _line_models(two_cluster_line, line_model):
+            coop = _coop_from_regularizer(two_cluster_line, model)
+            leak = theory._operators(combine, coop, model)[1]
+            bias = (leak @ _node_means(model)).reshape(-1)
+            assert np.linalg.norm(bias) > 1e-4
+            assert np.allclose(bias, mean_bias_vector(combine, coop, model), atol=1e-15)
 
     def test_trajectory_reaches_the_fixed_point(self, two_cluster_line, line_model):
         combine, _ = _line_weights(two_cluster_line)
         coop = _coop_from_regularizer(two_cluster_line, line_model)
-        transition = mean_transition(combine, coop, line_model)
-        bias = mean_bias_vector(combine, coop, line_model)
+        _, leak, transition = theory._operators(combine, coop, line_model)
+        bias = (leak @ _node_means(line_model)).reshape(-1)
         start = -line_model.mean_stack
         path = mean_error_trajectory(transition, bias, start, 4000)
         assert path.shape == (4001, 4)
@@ -100,17 +154,29 @@ class TestMeanTransition:
 
     def test_stability_bounds_for_white_regressors(self, line_model):
         bounds, ok = mean_stability_bounds(line_model)
-        assert np.allclose(bounds, 2.0 / np.array([1.0, 1.3, 0.8, 1.1]))
+        assert np.array_equal(bounds, 2.0 / np.array([1.0, 1.3, 0.8, 1.1]))
         assert ok
+        # the lifted form: 2 / the largest eigenvalue of each covariance block
+        lifted = [2.0 / np.linalg.eigvalsh(c)[-1] for c in regressor_covariances(line_model)]
+        assert np.allclose(bounds, lifted, rtol=1e-15, atol=0.0)
+        assert not mean_stability_bounds(replace(line_model, step_size=2.0 / 1.3))[1]
 
     def test_contraction_dominates_the_transition_radius(self, two_cluster_line, line_model):
         combine, _ = _line_weights(two_cluster_line)
         rng = np.random.default_rng(17)
-        bound = contraction_bound(line_model)
-        for _ in range(20):
-            coop = random_cooperation(two_cluster_line, rng)
-            rho = spectral_radius(mean_transition(combine, coop, line_model))
-            assert rho <= bound + 1e-12
+        for model in _line_models(two_cluster_line, line_model):
+            bound = contraction_bound(model)
+            lifted = max(
+                float(np.max(np.abs(np.linalg.eigvalsh(np.eye(model.dim) - model.step_size * c))))
+                for c in regressor_covariances(model)
+            )
+            assert np.isclose(bound, lifted, rtol=1e-15, atol=0.0)
+            for _ in range(20):
+                coop = random_cooperation(two_cluster_line, rng)
+                rho = spectral_radius(theory._operators(combine, coop, model)[2])
+                assert rho <= bound + 1e-12
+                stacked = mean_transition_reference(combine, coop, model)
+                assert np.isclose(rho, spectral_radius(stacked), rtol=1e-12, atol=0.0)
 
 
 class TestVarianceTransition:
@@ -131,7 +197,7 @@ class TestVarianceTransition:
         rng = np.random.default_rng(23)
         for _ in range(10):
             coop = random_cooperation(two_cluster_line, rng)
-            transition = mean_transition(combine, coop, line_model)
+            transition = theory._operators(combine, coop, line_model)[2]
             rho_mean = spectral_radius(transition)
             rho_var = spectral_radius(variance_transition(transition))
             assert abs(rho_var - rho_mean**2) <= 1e-8
@@ -179,15 +245,17 @@ class TestSteinSolve:
 
     def test_cluster_msd_matches_the_lifted_solve(self, two_cluster_line, line_model):
         combine, _ = _line_weights(two_cluster_line)
-        coop = _coop_from_regularizer(two_cluster_line, line_model)
-        _, _, cluster_msd = steady_state_msd(combine, coop, line_model, per_cluster=True)
-        transition = mean_transition(combine, coop, line_model)
-        terms = msd_forcing_terms(combine, coop, line_model)
-        full = terms.gradient_noise + terms.parameter_spread + terms.cross_limit
-        for p, size in enumerate(np.bincount(line_model.cluster_of)):
-            indicator = np.diag((line_model.cluster_of == p).astype(float))
-            reference = full @ vec(_lifted_solve(transition, indicator)) / size
-            assert np.isclose(cluster_msd[p], reference, rtol=1e-12, atol=0.0)
+        for model in _line_models(two_cluster_line, line_model):
+            coop = _coop_from_regularizer(two_cluster_line, model)
+            _, _, cluster_msd = steady_state_msd(combine, coop, model, per_cluster=True)
+            transition = mean_transition_reference(combine, coop, model)
+            terms = msd_forcing_terms(combine, coop, model)
+            full = terms.gradient_noise + terms.parameter_spread + terms.cross_limit
+            stacked_of = np.repeat(model.cluster_of, model.dim)
+            for p, size in enumerate(np.bincount(model.cluster_of)):
+                indicator = np.diag((stacked_of == p).astype(float))
+                reference = full @ vec(_lifted_solve(transition, indicator)) / size
+                assert np.isclose(cluster_msd[p], reference, rtol=1e-12, atol=0.0)
 
     def test_near_unit_radius_converges(self):
         transition = _scaled_to_radius(np.random.default_rng(8), 6, np.sqrt(0.9995))
@@ -205,30 +273,32 @@ class TestSteinSolve:
 class TestForcingTerms:
     def test_noise_and_spread_match_looped_assembly(self, two_cluster_line, line_model):
         combine, _ = _line_weights(two_cluster_line)
-        coop = _coop_from_regularizer(two_cluster_line, line_model)
-        terms = msd_forcing_terms(combine, coop, line_model)
-        noise_ref, spread_ref = forcing_matrices_reference(combine, coop, line_model)
-        assert np.allclose(terms.gradient_noise, vec(noise_ref), atol=1e-14)
-        assert np.allclose(terms.parameter_spread, vec(spread_ref), atol=1e-14)
+        for model in _line_models(two_cluster_line, line_model):
+            coop = _coop_from_regularizer(two_cluster_line, model)
+            noise, spread, _ = _traced_forcing(combine, coop, model)
+            noise_ref, spread_ref = forcing_matrices_reference(combine, coop, model)
+            assert _relative(noise, block_trace(noise_ref, model.dim)) <= 1e-14
+            assert _relative(spread, block_trace(spread_ref, model.dim)) <= 1e-14
 
     def test_cross_limit_agrees_with_fixed_point_iteration(
         self, two_cluster_line, line_model
     ):
         combine, _ = _line_weights(two_cluster_line)
-        coop = _coop_from_regularizer(two_cluster_line, line_model)
-        terms = msd_forcing_terms(combine, coop, line_model)
-        transition = mean_transition_reference(combine, coop, line_model)
-        _, spread_ref = forcing_matrices_reference(combine, coop, line_model)
-        limit = cross_forcing_fixed_point(transition, spread_ref)
-        reference = 2.0 * vec(limit)
-        scale = max(np.linalg.norm(reference), 1e-300)
-        assert np.linalg.norm(terms.cross_limit - reference) <= 1e-10 * scale
+        for model in _line_models(two_cluster_line, line_model):
+            coop = _coop_from_regularizer(two_cluster_line, model)
+            _, _, cross = _traced_forcing(combine, coop, model)
+            transition = mean_transition_reference(combine, coop, model)
+            _, spread_ref = forcing_matrices_reference(combine, coop, model)
+            limit = cross_forcing_fixed_point(transition, spread_ref)
+            reference = 2.0 * block_trace(limit, model.dim)
+            scale = max(np.linalg.norm(reference), 1e-300)
+            assert np.linalg.norm(cross - reference) <= 1e-10 * scale
 
     def test_unstable_configuration_is_rejected(self, scalar_node):
-        from dataclasses import replace
-
         _, model = scalar_node
-        runaway = replace(model, step_sizes=np.array([3.0]))
+        runaway = replace(model, step_size=3.0)
+        with pytest.raises(ValueError, match="mean-unstable"):
+            _traced_forcing(np.eye(1), np.eye(1), runaway)
         with pytest.raises(ValueError, match="mean-unstable"):
             msd_forcing_terms(np.eye(1), np.eye(1), runaway)
 
@@ -242,18 +312,19 @@ class TestSteadyStateMsd:
 
     def test_matches_series_summation(self, two_cluster_line, line_model):
         combine, _ = _line_weights(two_cluster_line)
-        coop = _coop_from_regularizer(two_cluster_line, line_model)
-        msd, msd_approx = steady_state_msd(combine, coop, line_model)
+        for model in _line_models(two_cluster_line, line_model):
+            coop = _coop_from_regularizer(two_cluster_line, model)
+            msd, msd_approx = steady_state_msd(combine, coop, model)
 
-        transition = mean_transition_reference(combine, coop, line_model)
-        noise_ref, spread_ref = forcing_matrices_reference(combine, coop, line_model)
-        cross_ref = cross_forcing_fixed_point(transition, spread_ref)
-        n = line_model.n_nodes
-        full = noise_ref + spread_ref + 2.0 * cross_ref
-        series = msd_series(transition, full, np.eye(n)) / n
-        series_approx = msd_series(transition, noise_ref + spread_ref, np.eye(n)) / n
-        assert np.isclose(msd, series, rtol=1e-9, atol=0.0)
-        assert np.isclose(msd_approx, series_approx, rtol=1e-9, atol=0.0)
+            transition = mean_transition_reference(combine, coop, model)
+            noise_ref, spread_ref = forcing_matrices_reference(combine, coop, model)
+            cross_ref = cross_forcing_fixed_point(transition, spread_ref)
+            n, size = model.n_nodes, transition.shape[0]
+            full = noise_ref + spread_ref + 2.0 * cross_ref
+            series = msd_series(transition, full, np.eye(size)) / n
+            series_approx = msd_series(transition, noise_ref + spread_ref, np.eye(size)) / n
+            assert np.isclose(msd, series, rtol=1e-9, atol=0.0)
+            assert np.isclose(msd_approx, series_approx, rtol=1e-9, atol=0.0)
 
     def test_cluster_split_recombines_to_the_network_value(
         self, two_cluster_line, line_model
@@ -267,17 +338,14 @@ class TestSteadyStateMsd:
         assert np.isclose(float(sizes @ cluster_msd), line_model.n_nodes * msd, rtol=1e-12)
 
     def test_unstable_configuration_is_rejected(self, scalar_node):
-        from dataclasses import replace
-
         _, model = scalar_node
-        runaway = replace(model, step_sizes=np.array([3.0]))
+        runaway = replace(model, step_size=3.0)
         with pytest.raises(ValueError, match="mean-square-unstable"):
             steady_state_msd(np.eye(1), np.eye(1), runaway)
 
     def test_cooperation_helps_under_strong_correlation(self, two_cluster_line):
         """Borrowing across clusters lowers the network deviation when the
         tasks are similar, and the effect reverses once they drift apart."""
-        from maicnet.signal_model import SignalModel
 
         def build(mean_gap):
             return SignalModel.from_profiles(
@@ -323,28 +391,31 @@ class TestAnalyze:
     def test_variance_radius_is_exactly_the_squared_mean_radius(
         self, two_cluster_line, line_model, scalar_node
     ):
-        from dataclasses import replace
-
         combine, _ = _line_weights(two_cluster_line)
         rng = np.random.default_rng(31)
         _, scalar = scalar_node
         cases = [(combine, random_cooperation(two_cluster_line, rng), line_model) for _ in range(5)]
-        cases.append((np.eye(1), np.eye(1), replace(scalar, step_sizes=np.array([3.0]))))
+        cases.append((np.eye(1), np.eye(1), replace(scalar, step_size=3.0)))
         for combine_, coop, model in cases:
             report = analyze(combine_, coop, model)
             assert report.rho_variance == report.rho_mean**2
             assert report.mean_square_stable == (report.rho_mean < 1.0)
 
     def test_unstable_report_carries_no_deviation(self, scalar_node):
-        from dataclasses import replace
-
         _, model = scalar_node
-        runaway = replace(model, step_sizes=np.array([3.0]))
+        runaway = replace(model, step_size=3.0)
         report = analyze(np.eye(1), np.eye(1), runaway)
         assert not report.mean_square_stable
         assert report.msd is None and report.msd_approx is None
         assert report.msd_db is None
         assert report.to_dict()["msd"] is None
+
+    def test_nonpositive_deviation_has_no_decibel_value(self, scalar_node):
+        # a noiseless node with a known parameter has a closed-form MSD of 0
+        _, model = scalar_node
+        report = analyze(np.eye(1), np.eye(1), replace(model, noise_var=np.zeros(1)))
+        assert report.msd == 0.0 and report.msd_approx == 0.0
+        assert report.msd_db is None and report.msd_approx_db is None
 
     def test_report_serializes_to_plain_types(self, two_cluster_line, line_model):
         import json
@@ -355,3 +426,80 @@ class TestAnalyze:
         text = json.dumps(payload)
         assert "rho_mean" in payload and "msd_db" in payload
         assert isinstance(json.loads(text)["step_size_bounds"], list)
+
+
+def _compile_n24(seed):
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    import workloads
+
+    return workloads.build("compile-n24", seed)
+
+
+def _random_network(rng, n, dim):
+    """A connected network of n nodes in contiguous, internally connected
+    clusters, a white model on it, and random combine and cooperation weights."""
+    p = int(rng.integers(1, min(n, 4) + 1))
+    cuts = np.sort(rng.choice(np.arange(1, n), size=p - 1, replace=False))
+    cluster_of = np.searchsorted(cuts, np.arange(n), side="right")
+    edges = {(k, k + 1) for k in range(n - 1)}
+    for _ in range(n):
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((a, b))
+    topology = ClusteredTopology.from_edges(n, sorted(edges), cluster_of)
+    reg_power = rng.uniform(0.5, 2.0, n)
+    loadings = rng.uniform(0.3, 0.9, p)
+    gamma = np.outer(loadings, loadings)
+    np.fill_diagonal(gamma, 1.0)
+    model = SignalModel.from_profiles(
+        topology,
+        dim=dim,
+        reg_power=reg_power,
+        noise_var=rng.uniform(0.01, 0.5, n),
+        step_size=float(rng.uniform(0.2, 0.9) / reg_power.max()),
+        cluster_means=rng.uniform(-1.0, 1.0, (p, dim)),
+        sigma_w=rng.uniform(0.5, 1.5, p),
+        spread_scale=float(rng.uniform(1e-4, 1e-2)),
+        gamma=gamma,
+    )
+    return metropolis_weights(topology), random_cooperation(topology, rng), model
+
+
+class TestBlockTraceIdentity:
+    """The N x N analysis equals the lifted (N*M, N*M) one to rounding."""
+
+    @staticmethod
+    def _assert_matches_the_lift(combine, cooperation, model, report):
+        rho, msd, msd_approx, cluster_msd = lifted_analysis(combine, cooperation, model)
+        assert report.mean_square_stable
+        assert _relative(report.rho_mean, rho) <= 1e-12
+        assert report.rho_variance == report.rho_mean**2
+        assert _relative(report.msd, msd) <= 1e-12
+        assert _relative(report.msd_approx, msd_approx) <= 1e-12
+        for value, reference in zip(report.cluster_msd, cluster_msd):
+            assert _relative(value, reference) <= 1e-12
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES + ("compile-n24-0", "compile-n24-7"))
+    def test_every_fixed_rule_on_every_segment(self, name):
+        if name.startswith("compile-n24"):
+            scenario = _compile_n24(int(name.rsplit("-", 1)[1]))
+        else:
+            scenario = presets.get_scenario(name)
+        scenario = replace(scenario, strategies=harness.FIXED_WEIGHT_STRATEGIES)
+        compiled = harness.compile_scenario(scenario)
+        checked = 0
+        for plan in compiled.plans:
+            for coop, model, report in zip(plan.weights, compiled.models, plan.reports):
+                self._assert_matches_the_lift(compiled.combine, coop, model, report)
+                checked += 1
+        assert checked == len(harness.FIXED_WEIGHT_STRATEGIES) * len(scenario.segments)
+
+    @pytest.mark.parametrize(
+        "n, dim", [(3, 1), (5, 2), (6, 3), (8, 4), (12, 3), (16, 4), (21, 3), (32, 2)]
+    )
+    def test_random_connected_networks(self, n, dim):
+        assert n * dim <= SIZE_CAP
+        rng = np.random.default_rng(1000 * n + dim)
+        for _ in range(3):
+            combine, coop, model = _random_network(rng, n, dim)
+            self._assert_matches_the_lift(combine, coop, model, analyze(combine, coop, model))

@@ -14,13 +14,13 @@ from maicnet.topology import (
     ClusteredTopology,
     averaging_rule_weights,
     cooperation_from_regularizer,
-    kron_expand,
     metropolis_weights,
     validate_column_stochastic,
 )
 from oracles import (
     averaging_rule_weights_loop,
     cooperation_from_regularizer_loop,
+    expand_blocks,
     metropolis_weights_loop,
     neighbor_lists,
     neighbor_sets,
@@ -114,6 +114,12 @@ class TestConstruction:
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             ClusteredTopology.from_edges(3, ((0, 5),), (0, 0, 0))
+
+    @pytest.mark.parametrize("repeat", [(0, 1), (1, 0)])
+    def test_repeated_edge_is_named(self, repeat):
+        a, b = repeat
+        with pytest.raises(ValueError, match=rf"^edge \({a}, {b}\) is listed twice"):
+            ClusteredTopology.from_edges(3, ((0, 1), (1, 2), repeat), (0, 0, 0))
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(ValueError, match="disconnected"):
@@ -222,7 +228,7 @@ class TestCooperationFromRegularizer:
     def test_frozen_star_example(self, singleton_chain):
         rho = averaging_rule_weights(singleton_chain)
         coop = cooperation_from_regularizer(
-            singleton_chain, rho, eta=1.0, step_sizes=np.full(3, 0.05)
+            singleton_chain, rho, eta=1.0, step_size=0.05
         )
         expected = np.array(
             [
@@ -238,7 +244,7 @@ class TestCooperationFromRegularizer:
         rho = averaging_rule_weights(singleton_chain)
         with pytest.raises(ValueError, match="reduce eta or the step size"):
             cooperation_from_regularizer(
-                singleton_chain, rho, eta=50.0, step_sizes=np.full(3, 0.05)
+                singleton_chain, rho, eta=50.0, step_size=0.05
             )
 
     @given(st.floats(min_value=0.0, max_value=8.0))
@@ -246,7 +252,7 @@ class TestCooperationFromRegularizer:
     def test_columns_stay_stochastic_for_admissible_strengths(self, eta):
         chain = ClusteredTopology.from_edges(3, ((0, 1), (1, 2)), (0, 1, 2))
         rho = averaging_rule_weights(chain)
-        coop = cooperation_from_regularizer(chain, rho, eta=eta, step_sizes=np.full(3, 0.1))
+        coop = cooperation_from_regularizer(chain, rho, eta=eta, step_size=0.1)
         validate_column_stochastic(coop, chain.inter_plus)
 
 
@@ -254,17 +260,17 @@ class TestLoopOracles:
     """The three weight rules equal, bit for bit, their node-by-node versions."""
 
     @staticmethod
-    def _assert_rules_match(top, rho, eta, step_sizes):
+    def _assert_rules_match(top, rho, eta, step_size):
         assert np.array_equal(metropolis_weights(top), metropolis_weights_loop(top))
         assert np.array_equal(averaging_rule_weights(top), averaging_rule_weights_loop(top))
         try:
-            expected = cooperation_from_regularizer_loop(top, rho, eta, step_sizes)
+            expected = cooperation_from_regularizer_loop(top, rho, eta, step_size)
         except ValueError as error:
             with pytest.raises(ValueError) as raised:
-                cooperation_from_regularizer(top, rho, eta, step_sizes)
+                cooperation_from_regularizer(top, rho, eta, step_size)
             assert str(raised.value) == str(error)
         else:
-            coop = cooperation_from_regularizer(top, rho, eta, step_sizes)
+            coop = cooperation_from_regularizer(top, rho, eta, step_size)
             assert np.array_equal(coop, expected)
 
     @given(
@@ -278,7 +284,7 @@ class TestLoopOracles:
         n = top.n_nodes
         # entries off the inter-cluster support must be ignored, not read
         rho = rng.random((n, n))
-        self._assert_rules_match(top, rho, eta, 0.01 + 0.1 * rng.random(n))
+        self._assert_rules_match(top, rho, eta, 0.01 + 0.1 * rng.random())
         self._assert_rules_match(top, averaging_rule_weights(top), eta, 0.05)
 
     @pytest.mark.parametrize("name", presets.PRESET_NAMES)
@@ -311,9 +317,11 @@ class TestValidation:
 
 
 class TestExpansion:
-    def test_kron_expand_places_identity_blocks(self):
+    def test_expand_blocks_places_identity_blocks(self):
+        # the stacked (N*M, N*M) form of a weight matrix that the lifted
+        # theory references build
         weights = np.array([[0.7, 0.2], [0.3, 0.8]])
-        big = kron_expand(weights, 2)
+        big = expand_blocks(weights, 2)
         assert big.shape == (4, 4)
         assert np.array_equal(big, np.kron(weights, np.eye(2)))
         assert big[0, 2] == 0.2 and big[1, 3] == 0.2 and big[0, 3] == 0.0

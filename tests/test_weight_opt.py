@@ -1,4 +1,5 @@
-"""Simplex projection and the cooperation-weight programs.
+"""The cooperation-weight programs, and the simplex projection of their
+projected-gradient reference.
 
 The solvers are checked against exhaustive grids, face enumeration,
 accelerated projected gradient, finite differences, and the uncompressed
@@ -15,16 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from maicnet import weight_opt
-from maicnet.signal_model import SignalModel
+from maicnet.signal_model import SignalModel, block_trace
 from maicnet.strategies import init_state, maic_adaptive_step
 from maicnet.topology import ClusteredTopology
 from maicnet.weight_opt import (
     EPS_RIDGE,
-    block_trace,
     build_centralized_qp,
     kkt_residual,
-    project_simplex,
     solve_local_columns,
     solve_p1,
     solve_p2_all_nodes,
@@ -36,6 +36,7 @@ from oracles import (
     grid_nearest_simplex_point,
     local_program,
     project_columns_loop,
+    project_simplex,
     solve_p1_fista,
     solve_simplex_qp_batch_loop,
 )
@@ -570,7 +571,7 @@ class TestLocalProgram:
         regressors = rng.standard_normal((3, 12, 2))
         responses = rng.standard_normal((3, 12))
         maic_adaptive_step(
-            state, regressors, responses, np.eye(12), topology, 0.7, np.full(12, 0.1)
+            state, regressors, responses, np.eye(12), topology, 0.7, 0.1
         )
         assert state.fallback_count == 0
         assert np.allclose(state.learned_weights.sum(axis=-2), 1.0, atol=1e-12)
@@ -674,7 +675,7 @@ class TestCentralizedProgram:
         args = (compiled.models[0], compiled.topology, compiled.combine)
         coop, solution = solve_p1_fista(*args)
         monkeypatch.setattr(
-            weight_opt,
+            oracles,
             "project_simplex",
             lambda rows, mask: project_columns_loop(rows.T, mask.T).T,
         )
