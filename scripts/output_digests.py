@@ -6,20 +6,25 @@ and ``weights_*.csv`` to a temporary directory. Every file gets its own
 line, ``<preset> <file> <sha256 of its bytes>``, and one more line per
 preset gives the run's stream digest, ``<preset> stream_digest <hex>``,
 so a change that moves one file shows which. A preset whose segments do
-not fit ``--iters`` is listed as skipped. Two trees produce the same
+not fit ``--iters`` is listed as skipped. ``--perfbench K`` also lists the
+benchmark's scenarios (``perfbench/workloads.py``) at seeds 0..K-1, at
+their own sizes, as ``<workload>@<seed>``. Two trees produce the same
 outputs exactly when their listings match, e.g.
 
-    python3 scripts/output_digests.py --runs 300 > before.txt
-    (in the other tree) python3 scripts/output_digests.py --runs 300 > after.txt
+    python3 scripts/output_digests.py --runs 300 --perfbench 4 > before.txt
+    (in the other tree) python3 scripts/output_digests.py --runs 300 --perfbench 4 > after.txt
     diff before.txt after.txt
 """
 
 import argparse
 import hashlib
+import sys
 import tempfile
 from pathlib import Path
 
 from maicnet import harness, presets
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def file_digests(out_dir: Path) -> list[tuple[str, str]]:
@@ -33,6 +38,7 @@ def main() -> None:
     parser.add_argument("--runs", type=int, default=None)
     parser.add_argument("--iters", type=int, default=None)
     parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--perfbench", type=int, default=0, metavar="K")
     args = parser.parse_args()
 
     overrides = {}
@@ -46,12 +52,23 @@ def main() -> None:
         except ValueError as error:  # e.g. --iters ends before a segment starts
             print(f"{name} skipped: {error}")
             continue
-        result = harness.run_scenario(scenario, workers=args.workers)
-        with tempfile.TemporaryDirectory() as tmp:
-            result.write_outputs(tmp)
-            for file_name, digest in file_digests(Path(tmp)):
-                print(f"{name} {file_name} {digest}")
-        print(f"{name} stream_digest {result.stream_digest}")
+        list_digests(name, scenario, args.workers)
+    if args.perfbench > 0:
+        sys.path.append(str(PERFBENCH))
+        import workloads
+
+        for workload in workloads.GENERATORS:
+            for seed in range(args.perfbench):
+                list_digests(f"{workload}@{seed}", workloads.build(workload, seed), args.workers)
+
+
+def list_digests(name: str, scenario, workers: int) -> None:
+    result = harness.run_scenario(scenario, workers=workers)
+    with tempfile.TemporaryDirectory() as tmp:
+        result.write_outputs(tmp)
+        for file_name, digest in file_digests(Path(tmp)):
+            print(f"{name} {file_name} {digest}")
+    print(f"{name} stream_digest {result.stream_digest}")
 
 
 if __name__ == "__main__":

@@ -73,11 +73,11 @@ class SignalModel:
     def __post_init__(self) -> None:
         dim = int(self.dim)
         reg_power = np.array(self.reg_power, dtype=float)
-        noise_var = np.asarray(self.noise_var, dtype=float)
+        noise_var = np.array(self.noise_var, dtype=float)
         step_size = float(self.step_size)
-        cluster_means = np.asarray(self.cluster_means, dtype=float)
-        cluster_cov = np.asarray(self.cluster_cov, dtype=float)
-        cluster_of = np.asarray(self.cluster_of, dtype=np.int64)
+        cluster_means = np.array(self.cluster_means, dtype=float)
+        cluster_cov = np.array(self.cluster_cov, dtype=float)
+        cluster_of = np.array(self.cluster_of, dtype=np.int64)
 
         n = cluster_of.shape[0]
         p = int(cluster_of.max()) + 1

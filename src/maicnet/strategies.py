@@ -19,7 +19,9 @@ rule also steps several strategies at once: their iterates stack as
 ``(F, ..., N, M)`` with one cooperation and one combine matrix per
 strategy, ``(F, N, N)`` each, and every strategy reads the same
 observations. Each strategy's mix is its own matrix product, so the stack
-steps bitwise as the strategies would alone.
+steps bitwise as the strategies would alone. The adaptive rule keeps its
+per-pair data with the runs last in memory, so its elementwise work loops
+over the runs.
 """
 
 from __future__ import annotations
@@ -68,11 +70,13 @@ def init_state(
     adaptive: bool = False,
 ) -> StrategyState:
     """Zero-initialized state. The ``(..., N, M)`` iterates are laid out
-    ``(..., M, N)`` in memory, the order in which the combine's GEMM returns them."""
+    ``(..., M, N)`` in memory, the order in which the combine's GEMM returns them;
+    the ``(..., N, N)`` increment powers ``(N, N, ...)``, runs last."""
     weights = np.zeros(batch_shape + (dim, n_nodes)).swapaxes(-1, -2)
     state = StrategyState(weights=weights)
     if adaptive:
-        state.increment_power = np.zeros(batch_shape + (n_nodes, n_nodes))
+        power = np.zeros((n_nodes, n_nodes) + batch_shape)
+        state.increment_power = np.moveaxis(power, (0, 1), (-2, -1))
         state.learned_weights = np.zeros(batch_shape + (n_nodes, n_nodes))
     return state
 
@@ -178,31 +182,31 @@ def _solve_learned_columns(
     alpha: float,
 ) -> np.ndarray:
     """Update increment-power estimates and solve one weight column per node."""
-    w_prev = state.weights
-    batch_shape = w_prev.shape[:-2]
-    n, dim = w_prev.shape[-2:]
-    flat_w = w_prev.reshape(-1, n, dim)
-    flat_psi = psi.reshape(-1, n, dim)
+    batch_shape = state.weights.shape[:-2]
+    n, dim = state.weights.shape[-2:]
+    # iterates (M, N, B): on views (N, B, M) of these, row_dot loops over the runs
+    w_prev = np.ascontiguousarray(state.weights.reshape(-1, n, dim).T)
+    psi = psi.reshape(-1, n, dim).T
 
     # Smoothed squared distance between each adapted iterate and the
     # receiving node's previous iterate, tracked on the cooperation-support
-    # pairs, the only ones the local programs read.
+    # pairs, the only ones the local programs read; entry (l, k) is row l N + k.
     senders, receivers = np.nonzero(topology.inter_plus)
-    increment = flat_psi[:, senders] - flat_w[:, receivers]
-    flat_power = state.increment_power.reshape(-1, n, n)
-    flat_power[:, senders, receivers] = (
-        alpha * flat_power[:, senders, receivers] + (1.0 - alpha) * row_dot(increment, increment)
-    )
+    pairs = senders * n + receivers
+    increment = (psi.take(senders, axis=1) - w_prev.take(receivers, axis=1)).transpose(1, 2, 0)
+    power = state.increment_power.reshape(-1, n, n).transpose(1, 2, 0).reshape(n * n, -1)
+    power[pairs] = alpha * power.take(pairs, axis=0) + (1.0 - alpha) * row_dot(increment, increment)
+    power = power.reshape(n, n, -1).transpose(2, 0, 1)
+    state.increment_power = power.reshape(batch_shape + (n, n))
 
-    gram = row_dot(flat_w[:, :, None], flat_w[:, None])
-    learned, ok = weight_opt.solve_local_columns(topology, gram, flat_power)
-    # a failed instance keeps only its own node
-    runs, nodes = np.nonzero(~ok)
-    learned[runs, :, nodes] = 0.0
-    learned[runs, nodes, nodes] = 1.0
-
-    state.fallback_count += runs.size
-    state.increment_power = flat_power.reshape(batch_shape + (n, n))
+    iterates = w_prev.transpose(1, 2, 0)
+    gram = row_dot(iterates[:, None], iterates[None]).transpose(2, 0, 1)
+    learned, ok = weight_opt.solve_local_columns(topology, gram, power)
+    if not ok.all():  # a failed instance keeps only its own node
+        runs, nodes = np.nonzero(~ok)
+        learned[runs, :, nodes] = 0.0
+        learned[runs, nodes, nodes] = 1.0
+        state.fallback_count += runs.size
     return learned.reshape(batch_shape + (n, n))
 
 

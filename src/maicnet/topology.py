@@ -75,6 +75,9 @@ class ClusteredTopology:
     adjacency. ``inter_plus_groups`` sorts the nodes by the size of their
     ``inter_plus`` column: one ``(nodes, supports)`` pair per size, in
     increasing size, with ``supports[g]`` the sorted support of ``nodes[g]``.
+    ``inter_plus_rows`` holds per group the rows ``l N + k`` of an ``(N N, ...)``
+    table that hold the entries ``(supports[g, i], nodes[g])``, ordered ``(i, g)``,
+    and ``(supports[g, i], supports[g, j])``, ordered ``(i, j, g)``.
     """
 
     adjacency: np.ndarray
@@ -84,6 +87,7 @@ class ClusteredTopology:
     inter_plus_groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
         init=False, repr=False
     )
+    inter_plus_rows: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         adjacency = np.asarray(self.adjacency, dtype=bool)
@@ -118,12 +122,16 @@ class ClusteredTopology:
         intra = adjacency & same
         inter_plus = (adjacency & ~same) | np.eye(n, dtype=bool)
         sizes = inter_plus.sum(axis=0)
-        groups = []
+        groups, group_rows = [], []
         for size in np.unique(sizes):
             nodes = np.flatnonzero(sizes == size)
             supports = np.nonzero(inter_plus[:, nodes].T)[1].reshape(nodes.size, size)
-            nodes.flags.writeable = supports.flags.writeable = False
+            rows = supports.T * n
+            entries, block = (rows + nodes).ravel(), (rows[:, None] + supports.T).ravel()
+            for array in (nodes, supports, entries, block):
+                array.flags.writeable = False
             groups.append((nodes, supports))
+            group_rows.append((entries, block))
 
         for array in (adjacency, cluster_of, intra, inter_plus):
             array.flags.writeable = False
@@ -132,6 +140,7 @@ class ClusteredTopology:
         object.__setattr__(self, "intra", intra)
         object.__setattr__(self, "inter_plus", inter_plus)
         object.__setattr__(self, "inter_plus_groups", tuple(groups))
+        object.__setattr__(self, "inter_plus_rows", tuple(group_rows))
 
         for p in range(len(labels)):
             members = np.flatnonzero(cluster_of == p)

@@ -6,10 +6,11 @@ one column of the cooperation matrix per node over its inter-cluster
 support, one group. P2 builds it from the exact moments, the adaptive
 rule from online estimates, and both solve it exactly with
 ``solve_local_columns``, batched by support size: in closed form on
-supports of 2 and 3 nodes, by the active-set method on larger ones. The
-centralized program P1 couples the columns through the combine weights
-and is one active-set instance whose groups are the columns. P1 and P2
-are certified by the KKT residual of the exact point.
+supports of 2 and 3 nodes, one contiguous plane per entry, by the
+active-set method on larger ones. The centralized program P1 couples the
+columns through the combine weights and is one active-set instance whose
+groups are the columns. P1 and P2 are certified by the KKT residual of
+the exact point.
 """
 
 from __future__ import annotations
@@ -174,18 +175,18 @@ def solve_simplex_qp_batch(
     quad = np.asarray(quad, dtype=float)
     lin = np.asarray(lin, dtype=float)
     n = lin.shape[1]
-    quad = quad + ridge * np.eye(n)
     if n in _CLOSED_FORMS:
-        best_q, best_obj = _CLOSED_FORMS[n](quad, lin)
-        best_q[best_obj == np.inf] = 0.0  # no feasible candidate with a usable objective
-        ok = np.isfinite(best_obj)
+        planes, best_obj = _CLOSED_FORMS[n](quad.transpose(1, 2, 0), lin.T, ridge)
+        planes[:, best_obj == np.inf] = 0.0  # no feasible candidate with a usable objective
+        best_q, ok = planes.T, np.isfinite(best_obj)
     else:
+        quad = np.ascontiguousarray(quad) + ridge * np.eye(n)
         vertex = np.argmin(np.diagonal(quad, axis1=1, axis2=2) - 2.0 * lin, axis=1)
         start = np.arange(n) == vertex[:, None]
         best_q, ok, _ = _active_set(quad, lin, np.zeros(n, dtype=np.intp), start)
-    best_q = np.clip(best_q, 0.0, None)
-    sums = best_q.sum(axis=1)
-    np.divide(best_q, sums[:, None], out=best_q, where=(ok & (sums > 0))[:, None])
+    best_q = np.maximum(best_q, 0.0)  # the ufunc np.clip(best_q, 0.0, None) calls, unwrapped
+    sums = best_q.sum(axis=1)  # in coordinate order on either layout, from 2 to 7 coordinates
+    best_q /= np.where(ok & (sums > 0), sums, 1.0)[:, None]
     return best_q, ok
 
 
@@ -208,15 +209,17 @@ def _edge_minimum(q00, q01, q11, l0, l1) -> tuple[np.ndarray, np.ndarray]:
     return t, np.where(inside, second - slope * t, np.fmin(first, second))
 
 
-def _segment_minimum(quad: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t, obj = _edge_minimum(quad[:, 0, 0], quad[:, 0, 1], quad[:, 1, 1], lin[:, 0], lin[:, 1])
-    return np.stack((t, 1.0 - t), axis=1), obj
+# The closed forms read entry planes quad[i, j] and lin[i] and return weight planes. They add
+# ridge * I as quad + ridge * I does: the ridge on the diagonal, 0.0 (-0.0 -> 0.0) off it.
+def _segment_minimum(quad, lin, ridge) -> tuple[np.ndarray, np.ndarray]:
+    t, obj = _edge_minimum(quad[0, 0] + ridge, quad[0, 1] + 0.0, quad[1, 1] + ridge, lin[0], lin[1])
+    return np.stack((t, 1.0 - t)), obj
 
 
 _EDGES = (np.array([0, 0, 1]), np.array([1, 2, 2]))  # {0, 1}, {0, 2}, {1, 2}
 
 
-def _triangle_minimum(quad: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _triangle_minimum(quad, lin, ridge) -> tuple[np.ndarray, np.ndarray]:
     """The interior stationary point where it is a feasible minimum, else
     the best edge (the first on a tie).
 
@@ -225,31 +228,31 @@ def _triangle_minimum(quad: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np
     ``f0 + g'x``. Eliminating on ``h11`` keeps that residual at rounding
     level even for a nearly singular ``quad`` or ``H``.
     """
-    q00, q01, q02 = quad[:, 0, 0], quad[:, 0, 1], quad[:, 0, 2]
-    h11 = (q00 - q01) + (quad[:, 1, 1] - q01)
-    h22 = (q00 - q02) + (quad[:, 2, 2] - q02)
-    h12 = (quad[:, 1, 2] - q01) + (q00 - q02)
-    g1 = (q01 - q00) + (lin[:, 0] - lin[:, 1])
-    g2 = (q02 - q00) + (lin[:, 0] - lin[:, 2])
+    i, j = _EDGES
+    diagonal = np.diagonal(quad).T + ridge
+    off = quad[i, j] + 0.0
+    (q00, q11, q22), (q01, q02, q12) = diagonal, off
+    h11, h22 = (q00 - off[:2]) + (diagonal[1:] - off[:2])
+    h12 = (q12 - q01) + (q00 - q02)
+    g1, g2 = (off[:2] - q00) + (lin[0] - lin[1:])
     with np.errstate(all="ignore"):  # the point is only used where H is definite
         ratio = h12 / h11
         schur = h22 - h12 * ratio
         v = (ratio * g1 - g2) / schur
         u = -(g1 + h12 * v) / h11
-        w = 1.0 - u - v
-        interior_obj = q00 - 2.0 * lin[:, 0] + g1 * u + g2 * v
+        point = np.stack((1.0 - u - v, u, v))
+        interior_obj = q00 - 2.0 * lin[0] + g1 * u + g2 * v
     interior = (h11 > 0.0) & (schur > 0.0) & np.isfinite(interior_obj)
-    interior &= (u >= -1e-10) & (v >= -1e-10) & (w >= -1e-10)
+    interior &= point.min(axis=0) >= -1e-10
 
-    i, j = _EDGES
-    t, obj = _edge_minimum(quad[:, i, i], quad[:, i, j], quad[:, j, j], lin[:, i], lin[:, j])
-    edge = np.argmin(obj, axis=1)
-    rows = np.arange(len(edge))
+    t, obj = _edge_minimum(diagonal[i], off, diagonal[j], lin[i], lin[j])
+    edge = np.argmin(obj, axis=0)
+    cols = np.arange(len(edge))
+    t, obj = t[edge, cols], obj[edge, cols]
     edge_q = np.zeros(lin.shape)
-    edge_q[rows, i[edge]] = t[rows, edge]
-    edge_q[rows, j[edge]] = 1.0 - t[rows, edge]
-    best_q = np.where(interior[:, None], np.stack((w, u, v), axis=1), edge_q)
-    return best_q, np.where(interior, interior_obj, obj[rows, edge])
+    edge_q[i[edge], cols] = t
+    edge_q[j[edge], cols] = 1.0 - t
+    return np.where(interior, point, edge_q), np.where(interior, interior_obj, obj)
 
 
 _CLOSED_FORMS = {2: _segment_minimum, 3: _triangle_minimum}
@@ -275,21 +278,26 @@ def solve_local_columns(
     gets weight 1. Returns the columns ``(B, N, N)`` and ``ok`` ``(B, N)``.
     """
     batch, n = gram.shape[:2]
-    columns = np.zeros((batch, n, n))
-    ok = np.ones((batch, n), dtype=bool)
-    for nodes, supports in topology.inter_plus_groups:
+    # entry (l, k) is row l N + k of these (N N, B) tables: views of runs-last input
+    gram_rows = gram.transpose(1, 2, 0).reshape(n * n, batch)
+    power_rows = power.transpose(1, 2, 0).reshape(n * n, -1)
+    columns = np.zeros((batch, n * n))
+    ok = np.ones((n, batch), dtype=bool)
+    groups = zip(topology.inter_plus_groups, topology.inter_plus_rows)
+    for (nodes, supports), (entries, block) in groups:
         size = supports.shape[1]
         if size == 1:
-            columns[:, nodes, nodes] = 1.0
+            columns[:, entries] = 1.0
             continue
-        quad = gram[:, supports[:, :, None], supports[:, None, :]]
-        idx = np.arange(size)
-        quad[..., idx, idx] += power[:, supports, nodes[:, None]]
-        lin = gram[:, supports, nodes[:, None]]
-        column, solved = solve_simplex_qp_batch(quad.reshape(-1, size, size), lin.reshape(-1, size))
-        columns[:, supports, nodes[:, None]] = column.reshape(batch, nodes.size, size)
-        ok[:, nodes] = solved.reshape(batch, nodes.size)
-    return columns, ok
+        # planes (size, size, nodes B) and (size, nodes B): node g in run b is instance g B + b
+        quad = gram_rows.take(block, axis=0).reshape(size * size, -1)
+        quad[:: size + 1] += power_rows.take(entries, axis=0).reshape(size, -1)
+        quad = quad.reshape(size, size, -1).transpose(2, 0, 1)
+        lin = gram_rows.take(entries, axis=0).reshape(size, -1).T
+        column, solved = solve_simplex_qp_batch(quad, lin)
+        columns[:, entries] = column.T.reshape(-1, batch).T
+        ok[nodes] = solved.reshape(nodes.size, batch)
+    return columns.reshape(batch, n, n), ok.T
 
 
 def solve_p2_all_nodes(

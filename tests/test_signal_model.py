@@ -132,6 +132,19 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="read-only"):
             line_model.reg_power[0] = 2.0
 
+    def test_the_callers_arrays_stay_writeable(self, two_cluster_line):
+        noise_var = np.array([0.02, 0.015, 0.025, 0.01])
+        means = np.array([[1.0, 0.5], [1.4, -0.2]])
+        model = SignalModel.from_profiles(
+            two_cluster_line, 2, np.ones(4), noise_var, 0.1, means, (1.0, 0.8), 0.05**2, np.eye(2)
+        )
+        assert noise_var.flags.writeable and means.flags.writeable
+        for name in ("reg_power", "noise_var", "cluster_means", "cluster_cov", "cluster_of"):
+            assert not getattr(model, name).flags.writeable, name
+        noise_var[0] = 5.0
+        means[0, 0] = 9.0
+        assert model.noise_var[0] == 0.02 and model.cluster_means[0, 0] == 1.0
+
 
 class TestSampling:
     def test_same_cluster_nodes_draw_identical_parameters(self, line_model):

@@ -330,6 +330,20 @@ class TestMemoryOrder:
         assert not state.weights.any()
 
 
+    @pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+    def test_init_state_lays_the_increment_powers_out_runs_last(self, batch):
+        state = init_state(5, 2, batch, adaptive=True)
+        assert state.increment_power.shape == batch + (5, 5)
+        assert not state.increment_power.any()
+        top = ClusteredTopology.from_edges(5, ((0, 1), (1, 2), (2, 3), (3, 4)), (0, 0, 0, 1, 1))
+        u, d = _draw_inputs(np.random.default_rng(41), 5, 2, batch)
+        maic_adaptive_step(state, u, d, metropolis_weights(top), top, 0.7, 0.1)
+        # the step keeps the layout: its pair update writes in place
+        assert np.moveaxis(state.increment_power, (-2, -1), (0, 1)).flags.c_contiguous
+        assert state.increment_power.any()
+        assert state.learned_weights.flags.c_contiguous
+
+
 class TestMaicStep:
     def test_matches_per_node_loops(self):
         top = ClusteredTopology.from_edges(4, ((0, 1), (1, 2), (2, 3)), (0, 0, 1, 1))

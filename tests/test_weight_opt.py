@@ -484,6 +484,49 @@ class TestSolver:
         assert np.allclose(best.sum(axis=1), 1.0, atol=1e-12)
 
 
+def layout_cases(rng: np.random.Generator, n: int, count: int = 500):
+    """Batches of n-coordinate programs, a fifth each: Gaussian, a duplicated
+    vertex, zero curvature, nearly flat (P2-like moments whose noise terms are
+    about 1e-4 of them) and Gaussian with NaN or infinite entries."""
+    roots = rng.standard_normal((count, n, n))
+    quad = roots @ roots.transpose(0, 2, 1)
+    lin = rng.standard_normal((count, n))
+    dup, flat, near, bad = (slice(k * count // 5, (k + 1) * count // 5) for k in range(1, 5))
+    quad[dup, 1], lin[dup, 1] = quad[dup, 0], lin[dup, 0]
+    quad[dup, :, 1] = quad[dup, :, 0]
+    quad[flat] = rng.standard_normal((count // 5, 1, 1))
+    lin[flat] = lin[flat, :1]
+    means = rng.standard_normal((count // 5, n))
+    quad[near] = means[:, :, None] * means[:, None] + 1e-4 * np.eye(n) * rng.uniform(size=(1, n, 1))
+    lin[near] = means * means[:, :1]
+    rows = np.arange(bad.start, bad.stop)
+    quad[rows, rng.integers(n, size=rows.size), rng.integers(n, size=rows.size)] = rng.choice(
+        [np.nan, np.inf, -np.inf], rows.size
+    )
+    lin[rows[::3], rng.integers(n, size=rows[::3].size)] = np.nan
+    return quad, lin
+
+
+class TestMemoryLayout:
+    """The local programs hand ``solve_simplex_qp_batch`` views of runs-last
+    planes; the bits must not depend on that."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_runs_last_and_c_ordered_batches_give_the_same_bits(self, n):
+        quad, lin = layout_cases(np.random.default_rng(60 + n), n)
+        runs_last = (
+            np.ascontiguousarray(quad.transpose(1, 2, 0)).transpose(2, 0, 1),
+            np.ascontiguousarray(lin.T).T,
+        )
+        assert not runs_last[0].flags.c_contiguous and not runs_last[1].flags.c_contiguous
+        with np.errstate(all="ignore"):  # the non-finite instances
+            weights, ok = solve_simplex_qp_batch(quad, lin)
+            again, again_ok = solve_simplex_qp_batch(*runs_last)
+        assert np.array_equal(ok, again_ok)
+        assert 0 < ok.sum() < len(ok)
+        assert np.ascontiguousarray(weights).tobytes() == np.ascontiguousarray(again).tobytes()
+
+
 class TestBlockTrace:
     def test_frozen_example(self):
         matrix = np.arange(16.0).reshape(4, 4)
