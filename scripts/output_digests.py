@@ -3,9 +3,12 @@
 
 Each preset runs end to end and writes ``curves.csv``, ``summary.json``
 and ``weights_*.csv`` to a temporary directory. Every file gets its own
-line, ``<preset> <file> <sha256 of its bytes>``, and one more line per
-preset gives the run's stream digest, ``<preset> stream_digest <hex>``,
-so a change that moves one file shows which. A preset whose segments do
+line, ``<preset> <file> <sha256 of its bytes>``. One more line,
+``<preset> result <sha256>``, hashes the in-memory result: every curve's
+arrays, ``per_cluster`` included, in curve order, and the aborted runs and
+QP fallback counts, which no file holds in full. The last line per preset
+gives the run's stream digest, ``<preset> stream_digest <hex>``, so a
+change that moves one output shows which. A preset whose segments do
 not fit ``--iters`` is listed as skipped. ``--perfbench K`` also lists the
 benchmark's scenarios (``perfbench/workloads.py``) at seeds 0..K-1, at
 their own sizes, as ``<workload>@<seed>``. Two trees produce the same
@@ -18,6 +21,7 @@ outputs exactly when their listings match, e.g.
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -31,6 +35,19 @@ def file_digests(out_dir: Path) -> list[tuple[str, str]]:
     """``(file name, sha256)`` of every output file, curves and summary first."""
     paths = [out_dir / "curves.csv", out_dir / "summary.json", *sorted(out_dir.glob("weights_*.csv"))]
     return [(path.name, hashlib.sha256(path.read_bytes()).hexdigest()) for path in paths]
+
+
+def result_digest(result) -> str:
+    """sha256 over each curve's name and arrays (C-order bytes), in curve
+    order, then the diagnostics' aborted ``(run, step)`` pairs and fallback
+    counts as JSON."""
+    digest = hashlib.sha256()
+    for name, curve in result.curves.items():
+        digest.update(name.encode())
+        for field in ("network", "per_cluster", "counts", "run_steady", "run_cluster_steady"):
+            digest.update(getattr(curve, field).tobytes())
+    digest.update(json.dumps(result.diagnostics).encode())
+    return digest.hexdigest()
 
 
 def main() -> None:
@@ -68,6 +85,7 @@ def list_digests(name: str, scenario, workers: int) -> None:
         result.write_outputs(tmp)
         for file_name, digest in file_digests(Path(tmp)):
             print(f"{name} {file_name} {digest}")
+    print(f"{name} result {result_digest(result)}")
     print(f"{name} stream_digest {result.stream_digest}")
 
 

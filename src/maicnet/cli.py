@@ -16,7 +16,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness, presets
-from .topology import averaging_rule_weights
 
 
 def _load_scenario(spec: str, **overrides) -> harness.Scenario:
@@ -43,7 +42,6 @@ def _cmd_topology_inspect(args) -> int:
     compiled = harness.compile_scenario(replace(scenario, strategies=()))
     top = compiled.topology
     combine = compiled.combine
-    rho = averaging_rule_weights(top)
     inter = top.adjacency & ~top.intra
     groups = {"neighbors": top.adjacency, "intra": top.intra, "inter": inter,
               "inter_plus": top.inter_plus}
@@ -60,9 +58,7 @@ def _cmd_topology_inspect(args) -> int:
             np.allclose(combine.sum(axis=1), 1.0, atol=1e-12)
             and np.allclose(combine.sum(axis=0), 1.0, atol=1e-12)
         ),
-        "averaging_rule_zero_columns": np.flatnonzero(
-            ~inter.any(axis=0) & ~rho.any(axis=0)
-        ).tolist(),
+        "averaging_rule_zero_columns": np.flatnonzero(~inter.any(axis=0)).tolist(),
     }
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")

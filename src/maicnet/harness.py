@@ -244,6 +244,7 @@ class CompiledScenario:
     segment_of: np.ndarray  # (T,) segment index per iteration
     membership: np.ndarray  # (N, P) one-hot cluster of each node
     cluster_sizes: np.ndarray  # (P,) nodes per cluster
+    window_start: int  # first iteration of the steady-state window
 
 
 def _certificate_dict(solution: weight_opt.QPSolution) -> dict:
@@ -349,7 +350,8 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
             weights = averaging_rule_weights(topology)[None]
         plans.append(StrategyPlan(name, kind, weights, reports, certificates))
 
-    segment_of = np.searchsorted(np.asarray(scenario.boundaries), np.arange(scenario.iterations), side="right")
+    horizon = scenario.iterations
+    segment_of = np.searchsorted(np.asarray(scenario.boundaries), np.arange(horizon), side="right")
     membership = np.zeros((scenario.n_nodes, topology.n_clusters))
     membership[np.arange(scenario.n_nodes), topology.cluster_of] = 1.0
     return CompiledScenario(
@@ -361,6 +363,7 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         segment_of=segment_of,
         membership=membership,
         cluster_sizes=membership.sum(axis=0),
+        window_start=horizon - max(1, int(round(STEADY_WINDOW_FRACTION * horizon))),
     )
 
 
@@ -441,6 +444,13 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int, threads: int =
     ``(P, C, N, M)`` buffer, and one bookkeeping pass covers all P strategies.
     A run whose squared deviation exceeds ``DIVERGENCE_NORM**2`` or is NaN
     aborts.
+
+    The partial is those shared buffers, one row per strategy in the order
+    ``names`` (the fixed-weight stack first): ``err_sum`` (T, P, N),
+    ``counts`` (T, P) of runs alive, ``run_steady`` (P, C),
+    ``run_cluster`` (P, C, P_c) and ``aborted_at`` (P, C), the abort step or
+    -1; ``fallbacks`` (P,); ``learned``, per adaptive strategy, the sum of
+    its live runs' learned weights; and the runs' stream ``digests``.
     """
     scenario = compiled.scenario
     topology = compiled.topology
@@ -450,7 +460,7 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int, threads: int =
     count = hi - lo
     step_size = model0.step_size
     segment_of = compiled.segment_of
-    window_start = horizon - max(1, int(round(STEADY_WINDOW_FRACTION * horizon)))
+    window_start = compiled.window_start
     window_len = horizon - window_start
 
     w_true, regressors, _, responses, digests = _draw_chunk(compiled, lo, hi, threads)
@@ -534,41 +544,36 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int, threads: int =
     run_steady[aborted] = np.nan
     run_cluster = window_cluster / (window_len * compiled.cluster_sizes)
     run_cluster[aborted] = np.nan
-
-    out: dict = {"digests": digests, "strategies": {}}
-    for i, (plan, state) in enumerate(zip(plans, [fixed_state] * n_fixed + states)):
-        record = {
-            "err_sum": err_sum[:, i],
-            "counts": counts[:, i],
-            "run_steady": run_steady[i],
-            "run_cluster_steady": run_cluster[i],
-            "aborted": [(lo + int(j), int(aborted_at[i, j])) for j in np.flatnonzero(aborted[i])],
-            "fallbacks": int(state.fallback_count),
-        }
-        if plan.kind == "adaptive":
-            finals = state.learned_weights * alive[i, :, None, None]
-            record["final_weights_sum"] = finals.sum(axis=0)
-            record["final_weights_count"] = int(alive_count[i])
-        out["strategies"][plan.name] = record
-    return out
+    return {
+        "names": [plan.name for plan in plans],
+        "digests": digests,
+        "err_sum": err_sum,
+        "counts": counts,
+        "run_steady": run_steady,
+        "run_cluster": run_cluster,
+        "aborted_at": aborted_at,
+        "fallbacks": np.array([s.fallback_count for s in [fixed_state] * n_fixed + states]),
+        "learned": {
+            plan.name: (state.learned_weights * alive[i, :, None, None]).sum(axis=0)
+            for i, (plan, state) in enumerate(zip(others, states), n_fixed)
+            if plan.kind == "adaptive"
+        },
+    }
 
 
 def _chunk_task(args):
     return _simulate_chunk(*args)
 
 
-class _KahanSum:
-    """Compensated elementwise accumulator for a fixed-shape array."""
-
-    def __init__(self, shape):
-        self.total = np.zeros(shape)
-        self._comp = np.zeros(shape)
-
-    def add(self, value: np.ndarray) -> None:
-        adjusted = value - self._comp
-        fresh = self.total + adjusted
-        self._comp = (fresh - self.total) - adjusted
-        self.total = fresh
+def _kahan_sum(arrays: list[np.ndarray]) -> np.ndarray:
+    """Compensated elementwise sum of same-shape arrays, added in list order."""
+    total = comp = np.zeros(arrays[0].shape)
+    for value in arrays:
+        adjusted = value - comp
+        fresh = total + adjusted
+        comp = (fresh - total) - adjusted
+        total = fresh
+    return total
 
 
 @dataclass(frozen=True)
@@ -694,8 +699,6 @@ class ScenarioResult:
 
     def write_outputs(self, out_dir) -> None:
         """Write curves.csv, summary.json, and per-strategy weight files."""
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         names = list(self.curves)
         horizon = self.scenario.iterations
@@ -732,8 +735,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     compiled = compile_scenario(scenario)
-    horizon, runs = scenario.iterations, scenario.runs
-    n = scenario.n_nodes
+    runs, n = scenario.runs, scenario.n_nodes
 
     ranges = [(lo, min(lo + CHUNK_SIZE, runs)) for lo in range(0, runs, CHUNK_SIZE)]
     pooled = workers > 1 and len(ranges) > 1
@@ -749,68 +751,53 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     else:
         partials = [_chunk_task(task) for task in tasks]
 
-    digest = hashlib.sha256()
-    for partial in partials:
-        for run_digest in partial["digests"]:
-            digest.update(run_digest)
-    stream_digest = digest.hexdigest()
+    # every strategy at once: rows follow the partials' names, runs the chunk order
+    names = partials[0]["names"]
+    err_sum = _kahan_sum([partial["err_sum"] for partial in partials])
+    counts = sum(partial["counts"] for partial in partials)
+    fallbacks = sum(partial["fallbacks"] for partial in partials)
+    run_steady, run_cluster, aborted_at = (
+        np.concatenate([partial[key] for partial in partials], axis=1)
+        for key in ("run_steady", "run_cluster", "aborted_at")
+    )
+    stream_digest = hashlib.sha256(
+        b"".join(run_digest for partial in partials for run_digest in partial["digests"])
+    ).hexdigest()
 
     curves: dict[str, MsdCurve] = {}
     weights: dict[str, np.ndarray] = {}
-    reports: dict[str, "tuple[theory.TheoryReport, ...] | None"] = {}
-    certificates: dict[str, "tuple[dict, ...] | None"] = {}
     diagnostics = {"aborted": {}, "qp_fallbacks": {}}
-    window_start = horizon - max(1, int(round(STEADY_WINDOW_FRACTION * horizon)))
-
     for plan in compiled.plans:
-        err_sum = _KahanSum((horizon, n))
-        counts = np.zeros(horizon, dtype=np.int64)
-        run_steady = []
-        run_cluster = []
-        aborted = []
-        fallbacks = 0
-        final_weight_sum = _KahanSum((n, n))
-        final_weight_count = 0
-        for partial in partials:
-            record = partial["strategies"][plan.name]
-            err_sum.add(record["err_sum"])
-            counts += record["counts"]
-            run_steady.append(record["run_steady"])
-            run_cluster.append(record["run_cluster_steady"])
-            aborted.extend(record["aborted"])
-            fallbacks += record["fallbacks"]
-            if plan.weights is None:
-                final_weight_sum.add(record["final_weights_sum"])
-                final_weight_count += record["final_weights_count"]
-        run_steady = np.concatenate(run_steady)
-        run_cluster = np.concatenate(run_cluster)
-
-        alive = np.where(counts > 0, counts, np.nan)  # runs alive; none: NaN, not 0/0
-        network = err_sum.total.sum(axis=1) / (alive * n)
-        per_cluster = (err_sum.total @ compiled.membership) / (alive[:, None] * compiled.cluster_sizes)
+        i = names.index(plan.name)
+        alive = np.where(counts[:, i] > 0, counts[:, i], np.nan)  # runs alive; none: NaN, not 0/0
+        network = err_sum[:, i].sum(axis=1) / (alive * n)
+        per_cluster = (err_sum[:, i] @ compiled.membership) / (alive[:, None] * compiled.cluster_sizes)
         curves[plan.name] = MsdCurve(
             network=network,
             per_cluster=per_cluster,
-            counts=counts,
-            run_steady=run_steady,
-            run_cluster_steady=run_cluster,
-            window_start=window_start,
+            counts=counts[:, i],
+            run_steady=run_steady[i],
+            run_cluster_steady=run_cluster[i],
+            window_start=compiled.window_start,
         )
-        reports[plan.name] = plan.reports
-        certificates[plan.name] = plan.certificates
-        diagnostics["aborted"][plan.name] = aborted
-        diagnostics["qp_fallbacks"][plan.name] = fallbacks
-        mean_final = final_weight_sum.total / max(final_weight_count, 1)  # learned online
-        weights[plan.name] = mean_final[None] if plan.weights is None else plan.weights
+        diagnostics["aborted"][plan.name] = [
+            (int(r), int(aborted_at[i, r])) for r in np.flatnonzero(aborted_at[i] >= 0)
+        ]
+        diagnostics["qp_fallbacks"][plan.name] = int(fallbacks[i])
+        if plan.kind == "adaptive":  # the mean of the runs alive at the end, learned online
+            learned = _kahan_sum([partial["learned"][plan.name] for partial in partials])
+            weights[plan.name] = (learned / max(counts[-1, i], 1))[None]
+        else:
+            weights[plan.name] = plan.weights
 
     return ScenarioResult(
         scenario=scenario,
         topology=compiled.topology,
         combine=compiled.combine,
         curves=curves,
-        reports=reports,
+        reports={plan.name: plan.reports for plan in compiled.plans},
         weights=weights,
-        certificates=certificates,
+        certificates={plan.name: plan.certificates for plan in compiled.plans},
         diagnostics=diagnostics,
         stream_digest=stream_digest,
     )

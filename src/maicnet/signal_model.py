@@ -115,27 +115,14 @@ class SignalModel:
         return self.cluster_means.shape[0]
 
     @property
-    def mean_stack(self) -> np.ndarray:
-        """(N*M,) node parameter means, stacked: each node repeats its cluster's."""
-        return self.cluster_means[self.cluster_of].reshape(-1)
-
-    @property
-    def cov_stack(self) -> np.ndarray:
-        """(N*M, N*M) stacked node parameter covariance, read off ``cluster_cov``."""
-        index = (self.cluster_of[:, None] * self.dim + np.arange(self.dim)).reshape(-1)
-        return self.cluster_cov[np.ix_(index, index)]
-
-    @property
-    def parameter_second_moment(self) -> np.ndarray:
-        """Stacked (N*M, N*M) second moment: covariance plus mean outer product."""
-        mean = self.mean_stack
-        return self.cov_stack + np.outer(mean, mean)
-
-    @property
     def second_moment_traces(self) -> np.ndarray:
-        """(N, N) block traces of ``parameter_second_moment``, the moment table
-        that the weight programs and the steady-state theory read."""
-        return block_trace(self.parameter_second_moment, self.dim)
+        """(N, N) block traces of the node-stacked parameter second moment, the
+        moment table that the weight programs and the steady-state theory read.
+        A node's block is its cluster's, so the table is the cluster one's,
+        spread to the nodes."""
+        mean = self.cluster_means.reshape(-1)
+        cluster_traces = block_trace(self.cluster_cov + np.outer(mean, mean), self.dim)
+        return cluster_traces[np.ix_(self.cluster_of, self.cluster_of)]
 
     @classmethod
     def from_profiles(

@@ -220,7 +220,6 @@ def analyze(
     combine: np.ndarray,
     cooperation: np.ndarray,
     model: SignalModel,
-    per_cluster: bool = True,
 ) -> TheoryReport:
     """Full report: stability characterization plus steady-state deviations.
 
@@ -232,8 +231,7 @@ def analyze(
     stable = rho_mean < 1.0
     msd = msd_approx = cluster_msd = None
     if stable:
-        msd, msd_approx, *split = _steady_state_msd(model, operators, rho_mean, per_cluster)
-        cluster_msd = split[0] if per_cluster else None
+        msd, msd_approx, cluster_msd = _steady_state_msd(model, operators, rho_mean, per_cluster=True)
     return TheoryReport(
         rho_mean=rho_mean,
         rho_variance=rho_mean**2,

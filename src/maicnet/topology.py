@@ -182,10 +182,10 @@ class ClusteredTopology:
 def validate_column_stochastic(
     weights: np.ndarray,
     support: np.ndarray,
-    tol: float = STOCHASTIC_TOL,
     what: str = "weight matrix",
 ) -> None:
-    """Check nonnegativity, column sums of one, and support containment.
+    """Check nonnegativity, column sums of one, and support containment, each
+    to within ``STOCHASTIC_TOL``.
 
     Raises ValueError naming the first offending column.
     """
@@ -193,14 +193,14 @@ def validate_column_stochastic(
     if weights.shape != support.shape:
         raise ValueError(f"{what} has shape {weights.shape}, expected {support.shape}")
     off = np.abs(weights)[~support]
-    if off.size and off.max() > tol:
-        where = np.argwhere((~support) & (np.abs(weights) > tol))[0]
+    if off.size and off.max() > STOCHASTIC_TOL:
+        where = np.argwhere((~support) & (np.abs(weights) > STOCHASTIC_TOL))[0]
         raise ValueError(f"{what} has mass outside its support at {tuple(int(j) for j in where)}")
-    if weights.min() < -tol:
-        col = int(np.argwhere(weights < -tol)[0][1])
+    if weights.min() < -STOCHASTIC_TOL:
+        col = int(np.argwhere(weights < -STOCHASTIC_TOL)[0][1])
         raise ValueError(f"{what} column {col} has a negative entry")
     sums = weights.sum(axis=0)
-    bad = np.abs(sums - 1.0) > tol
+    bad = np.abs(sums - 1.0) > STOCHASTIC_TOL
     if bad.any():
         col = int(np.flatnonzero(bad)[0])
         raise ValueError(f"{what} column {col} sums to {float(sums[col])}, expected 1")

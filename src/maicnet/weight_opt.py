@@ -48,14 +48,14 @@ class QPSolution:
     certified: bool
 
 
-def kkt_residual(q: np.ndarray, grad: np.ndarray, active_tol: float = KKT_ACTIVE_TOL) -> float:
+def kkt_residual(q: np.ndarray, grad: np.ndarray) -> float:
     """Stationarity violation of a simplex-feasible point.
 
     At an optimum the gradient is constant on the support and at least
     that constant elsewhere. Returns the larger of the on-support spread
     and the off-support shortfall.
     """
-    active = q > active_tol
+    active = q > KKT_ACTIVE_TOL
     if not active.any():
         return float("inf")
     lo = float(grad[active].min())

@@ -211,18 +211,35 @@ def stacked_parameter_moments(cluster_of, dim, cluster_means, sigma_w, spread_sc
     sigma_w = np.asarray(sigma_w, dtype=float)
     n, p = cluster_of.shape[0], int(cluster_of.max()) + 1
     cluster_cov = spread_scale * np.asarray(gamma, dtype=float) * np.outer(sigma_w, sigma_w)
-    mean_stack = np.concatenate([cluster_means[cluster_of[k]] for k in range(n)])
+    stacked_mean = np.concatenate([cluster_means[cluster_of[k]] for k in range(n)])
     membership = np.zeros((n, p))
     membership[np.arange(n), cluster_of] = 1.0
-    cov_stack = np.kron(membership @ cluster_cov @ membership.T, np.eye(dim))
+    stacked_cov = np.kron(membership @ cluster_cov @ membership.T, np.eye(dim))
     reps = [int(np.flatnonzero(cluster_of == q)[0]) for q in range(p)]
     collapsed = np.empty((p * dim, p * dim))
     for a, i in enumerate(reps):
         for b, j in enumerate(reps):
-            collapsed[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = cov_stack[
+            collapsed[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = stacked_cov[
                 i * dim : (i + 1) * dim, j * dim : (j + 1) * dim
             ]
-    return mean_stack, cov_stack, _psd_sqrt(collapsed, "cluster parameter covariance")
+    return stacked_mean, stacked_cov, _psd_sqrt(collapsed, "cluster parameter covariance")
+
+
+def mean_stack(model: SignalModel) -> np.ndarray:
+    """(N*M,) node parameter means, stacked: each node repeats its cluster's."""
+    return model.cluster_means[model.cluster_of].reshape(-1)
+
+
+def cov_stack(model: SignalModel) -> np.ndarray:
+    """(N*M, N*M) stacked node parameter covariance, read off ``cluster_cov``."""
+    index = (model.cluster_of[:, None] * model.dim + np.arange(model.dim)).reshape(-1)
+    return model.cluster_cov[np.ix_(index, index)]
+
+
+def parameter_second_moment(model: SignalModel) -> np.ndarray:
+    """Stacked (N*M, N*M) second moment: covariance plus mean outer product."""
+    mean = mean_stack(model)
+    return cov_stack(model) + np.outer(mean, mean)
 
 
 def regressor_covariances(model: SignalModel) -> np.ndarray:
@@ -257,7 +274,7 @@ def forcing_matrices_reference(combine, cooperation, model):
     merged = big_a.T @ big_g.T
     noise_mat = merged @ mu @ noise_blocks @ mu @ merged.T
     leak = big_a.T @ (np.eye(size) - big_g.T)
-    spread_mat = leak @ model.parameter_second_moment @ leak.T
+    spread_mat = leak @ parameter_second_moment(model) @ leak.T
     return noise_mat, spread_mat
 
 
@@ -294,7 +311,7 @@ def mean_bias_vector(combine, cooperation, model) -> np.ndarray:
     """
     big_a = expand_blocks(np.asarray(combine, dtype=float), model.dim)
     big_g = expand_blocks(np.asarray(cooperation, dtype=float), model.dim)
-    return big_a.T @ (np.eye(big_a.shape[0]) - big_g.T) @ model.mean_stack
+    return big_a.T @ (np.eye(big_a.shape[0]) - big_g.T) @ mean_stack(model)
 
 
 @dataclass(frozen=True)
@@ -680,7 +697,7 @@ def local_program(
     mu = model.step_size
     dim = model.dim
     reg_cov = regressor_covariances(model)
-    second = model.parameter_second_moment
+    second = parameter_second_moment(model)
 
     def trace_of_block(a, b):
         return sum(second[a * dim + m, b * dim + m] for m in range(dim))
@@ -813,7 +830,7 @@ def centralized_objective_expanded(
     for k in range(model.n_nodes):
         block = slice(k * dim, (k + 1) * dim)
         noise_big[block, block] = model.noise_var[k] * reg_cov[k]
-    second = model.parameter_second_moment
+    second = parameter_second_moment(model)
     quad_term = (mu**2) * noise_big + second
     kron_quad = np.kron(gram, quad_term)
     kron_lin = 2.0 * (second @ gram).reshape(-1, order="F")

@@ -781,16 +781,13 @@ class TestThreadedDraws:
         assert {plan.kind for plan in compiled.plans} == {"fixed", "mdlms", "adaptive"}
         one = harness._simulate_chunk(compiled, 0, 7, threads=1)
         two = harness._simulate_chunk(compiled, 0, 7, threads=2)
-        assert two["digests"] == one["digests"]
-        assert two["strategies"].keys() == one["strategies"].keys()
-        for name, record in one["strategies"].items():
-            assert two["strategies"][name].keys() == record.keys()
-            for key, value in record.items():
-                other = two["strategies"][name][key]
-                if isinstance(value, np.ndarray):
-                    assert np.array_equal(other, value, equal_nan=True), (name, key)
-                else:
-                    assert other == value, (name, key)
+        assert two.keys() == one.keys()
+        assert two["names"] == one["names"] and two["digests"] == one["digests"]
+        assert two["learned"].keys() == one["learned"].keys() == {"maic-adaptive"}
+        for name, value in one["learned"].items():
+            assert np.array_equal(two["learned"][name], value), name
+        for key in one.keys() - {"names", "digests", "learned"}:
+            assert np.array_equal(two[key], one[key], equal_nan=True), key
 
     def test_error_on_a_drawing_thread_reaches_the_caller(self, monkeypatch):
         compiled = harness.compile_scenario(small("a", runs=6, iterations=40))
@@ -907,6 +904,50 @@ class TestSharedPass:
         # one run with M = 1 makes each strategy's mix a one-row product, which
         # BLAS computes as a GEMV, not as rows of a larger GEMM
         self.assert_isolated(small("b", runs=1, iterations=200))
+
+
+class TestChunkedReduction:
+    """Chunk partials reduce to what one chunk gives: several chunks against
+    one, with runs that diverge in the first and the last chunk."""
+
+    # TestSharedPass's diverging scenario: maic-p1 aborts runs 1, 4 and 17
+    # of 20; at step 1.6, maic-adaptive aborts runs 3 and 4 of 10
+    DIVERGING = replace(
+        small(
+            "a",
+            runs=20,
+            iterations=1500,
+            strategies=("maic-p1", "maic-p2", "atc", "mdlms-averaging"),
+        ),
+        step_size=1.1,
+    )
+
+    @pytest.mark.parametrize(
+        "scenario, chunk_size",
+        [(DIVERGING, 7), (replace(small("a", runs=10, iterations=300), step_size=1.6), 4)],
+        ids=["diverging", "adaptive"],
+    )
+    def test_chunks_reduce_to_the_one_chunk_result(self, monkeypatch, scenario, chunk_size):
+        # three chunks against one: the per-run and integer fields are the same
+        # bits, run indices global; compensated sums may differ in the last bits
+        whole = run_scenario(scenario)
+        monkeypatch.setattr(harness, "CHUNK_SIZE", chunk_size)
+        chunked = run_scenario(scenario)
+        assert chunked.diagnostics == whole.diagnostics
+        assert list(chunked.curves) == list(whole.curves) == list(scenario.strategies)
+        for name, curve in whole.curves.items():
+            other = chunked.curves[name]
+            for field in ("counts", "run_steady", "run_cluster_steady"):
+                assert np.array_equal(getattr(other, field), getattr(curve, field), equal_nan=True), (name, field)
+            for field in ("network", "per_cluster"):
+                assert np.allclose(
+                    getattr(other, field), getattr(curve, field), rtol=1e-12, atol=0.0, equal_nan=True
+                ), (name, field)
+            assert np.allclose(chunked.weights[name], whole.weights[name], rtol=1e-12, atol=0.0), name
+        if "maic-adaptive" in scenario.strategies:
+            # the mean over the runs alive at the end keeps its columns stochastic
+            assert 0 < whole.curves["maic-adaptive"].counts[-1] < scenario.runs
+            assert np.allclose(chunked.weights["maic-adaptive"].sum(axis=-2), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestCallTimeLookups:

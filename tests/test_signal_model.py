@@ -14,13 +14,22 @@ from hypothesis import strategies as st
 from maicnet import harness, presets
 from maicnet.signal_model import (
     SignalModel,
+    block_trace,
     draw_noises,
     draw_regressors,
     noise_profile_uniform_db,
     parameter_moments_from_correlation,
     sample_parameters,
 )
-from oracles import broadcast_color, einsum_color, regressor_roots, stacked_parameter_moments
+from oracles import (
+    broadcast_color,
+    cov_stack,
+    einsum_color,
+    mean_stack,
+    parameter_second_moment,
+    regressor_roots,
+    stacked_parameter_moments,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,29 +56,29 @@ def _stacked_cases(line_model):
 
 class TestMomentConstruction:
     def test_mean_stack_repeats_cluster_means(self, line_model):
-        assert np.array_equal(line_model.mean_stack, [1.0, 1.0, 1.4, 1.4])
+        assert np.array_equal(mean_stack(line_model), [1.0, 1.0, 1.4, 1.4])
 
     def test_covariance_blocks_scale_with_correlation(self, line_model):
         scale = 0.05**2
-        cov = line_model.cov_stack
+        cov = cov_stack(line_model)
         assert np.isclose(cov[0, 1], scale * 1.0 * 1.0 * 1.0)  # same cluster, gamma 1
         assert np.isclose(cov[0, 2], scale * 0.6 * 1.0 * 0.8)  # across clusters
         assert np.isclose(cov[2, 3], scale * 1.0 * 0.8 * 0.8)
         assert np.allclose(cov, cov.T)
 
     def test_second_moment_adds_mean_outer_product(self, line_model):
-        second = line_model.parameter_second_moment
-        mean = line_model.mean_stack
-        assert np.allclose(second, line_model.cov_stack + np.outer(mean, mean))
+        second = parameter_second_moment(line_model)
+        mean = mean_stack(line_model)
+        assert np.allclose(second, cov_stack(line_model) + np.outer(mean, mean))
 
     def test_cluster_mean_collapses_nodes(self, line_model):
         assert np.array_equal(line_model.cluster_means, [[1.0], [1.4]])
 
     def test_stacked_moments_match_the_membership_lift_bitwise(self, line_model):
         for model, args in _stacked_cases(line_model):
-            mean_stack, cov_stack, cluster_sqrt = stacked_parameter_moments(*args)
-            assert model.mean_stack.tobytes() == mean_stack.tobytes()
-            assert model.cov_stack.tobytes() == cov_stack.tobytes()
+            mean, cov, cluster_sqrt = stacked_parameter_moments(*args)
+            traces = block_trace(cov + np.outer(mean, mean), model.dim)
+            assert model.second_moment_traces.tobytes() == traces.tobytes()
             assert model._cluster_sqrt.tobytes() == cluster_sqrt.tobytes()
 
     def test_gamma_must_be_symmetric(self):
@@ -160,9 +169,9 @@ class TestSampling:
         draws = np.stack(
             [sample_parameters(line_model, rng).reshape(-1) for _ in range(4000)]
         )
-        assert np.allclose(draws.mean(axis=0), line_model.mean_stack, atol=5e-3)
+        assert np.allclose(draws.mean(axis=0), mean_stack(line_model), atol=5e-3)
         cov = np.cov(draws.T)
-        assert np.allclose(cov, line_model.cov_stack, atol=5e-4)
+        assert np.allclose(cov, cov_stack(line_model), atol=5e-4)
 
     def test_regressor_covariance_matches_profile(self, line_model):
         rng = np.random.default_rng(3)

@@ -40,6 +40,7 @@ from oracles import (
     lifted_transition_bruteforce,
     mean_bias_vector,
     mean_error_trajectory,
+    mean_stack,
     mean_transition_reference,
     msd_forcing_terms,
     msd_series,
@@ -143,7 +144,7 @@ class TestMeanTransition:
         coop = _coop_from_regularizer(two_cluster_line, line_model)
         _, leak, transition = theory._operators(combine, coop, line_model)
         bias = (leak @ _node_means(line_model)).reshape(-1)
-        start = -line_model.mean_stack
+        start = -mean_stack(line_model)
         path = mean_error_trajectory(transition, bias, start, 4000)
         assert path.shape == (4001, 4)
         assert np.array_equal(path[0], start)

@@ -544,7 +544,7 @@ class TestLocalProgram:
         support, quad, lin = local_program(1, line_model, two_cluster_line)
         idx = list(support)
         assert sorted(idx) == [1, 2]
-        second = line_model.parameter_second_moment
+        second = oracles.parameter_second_moment(line_model)
         # mu^2 sigma_v^2 tr(R_u) per node, only nodes 1 and 2 can appear
         noise = {1: 0.1**2 * 0.015 * 1.3, 2: 0.1**2 * 0.025 * 0.8}
         expected_quad = np.array(
