@@ -81,7 +81,8 @@ def _cmd_theory(args) -> int:
         "strategy": args.strategy,
         "segments": [report.to_dict() for report in plan.reports],
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    # strict JSON, as summary.json: a non-finite radius is written as null
+    text = json.dumps(harness._finite_or_none(payload), indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

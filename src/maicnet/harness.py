@@ -491,53 +491,56 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int, threads: int =
     window_cluster = np.zeros((n_plans, count, compiled.cluster_sizes.size))
     frozen = False  # set once a run has aborted
 
-    for t in range(horizon):
-        seg = int(segment_of[t])
-        u_t = regressors[t]
-        d_t = responses[t]
-        target = w_true[:, seg]
-        if fixed:
-            strategies.maic_step(
-                fixed_state, u_t, d_t, fixed_combine, cooperation[seg], step_size
-            )
-            np.subtract(target, fixed_state.weights, out=diff[:n_fixed])
-        for i, (plan, state) in enumerate(zip(others, states), n_fixed):
-            if plan.kind == "mdlms":
-                strategies.mdlms_step(
-                    state, u_t, d_t, combine, plan.weights[0], scenario.eta, step_size
+    # A diverging run overflows to inf and then NaN before the abort test removes it;
+    # that is the test's own signal, so the loop does not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            seg = int(segment_of[t])
+            u_t = regressors[t]
+            d_t = responses[t]
+            target = w_true[:, seg]
+            if fixed:
+                strategies.maic_step(
+                    fixed_state, u_t, d_t, fixed_combine, cooperation[seg], step_size
                 )
-            else:
-                strategies.maic_adaptive_step(
-                    state, u_t, d_t, combine, topology, scenario.alpha, step_size
-                )
-            np.subtract(target, state.weights, out=diff[i])
-        err = strategies.row_dot(diff, diff)
-        # A run's squared deviation and the total over all runs and strategies are
-        # float sums of terms err >= 0, each within a relative (terms * 2**-53) of
-        # its exact value, and the exact run sum is at most the exact total: a
-        # total within half the bound clears every run. NaN fails the comparison.
-        if not err.sum() <= DIVERGENCE_NORM**2 / 2:
-            overflow = alive & ~(err.sum(axis=2) <= DIVERGENCE_NORM**2)
-            if overflow.any():
-                aborted_at[overflow] = t
-                alive &= ~overflow
-                alive_count -= overflow.sum(axis=1)
-                frozen = True
-        if frozen:
-            # aborted runs restart from zero each step, so their values
-            # stay finite, add nothing to the sums and never reach the solvers
-            dead = ~alive
-            fixed_state.weights[dead[:n_fixed]] = 0.0
-            for state, dead_runs in zip(states, dead[n_fixed:]):
-                state.weights[dead_runs] = 0.0
-                if state.increment_power is not None:
-                    state.increment_power[dead_runs] = 0.0
-            err[dead] = 0.0
-        err_sum[t] = err.sum(axis=1)
-        counts[t] = alive_count
-        if t >= window_start:
-            window_net += err.sum(axis=2)
-            window_cluster += err @ compiled.membership
+                np.subtract(target, fixed_state.weights, out=diff[:n_fixed])
+            for i, (plan, state) in enumerate(zip(others, states), n_fixed):
+                if plan.kind == "mdlms":
+                    strategies.mdlms_step(
+                        state, u_t, d_t, combine, plan.weights[0], scenario.eta, step_size
+                    )
+                else:
+                    strategies.maic_adaptive_step(
+                        state, u_t, d_t, combine, topology, scenario.alpha, step_size
+                    )
+                np.subtract(target, state.weights, out=diff[i])
+            err = strategies.row_dot(diff, diff)
+            # A run's squared deviation and the total over all runs and strategies are
+            # float sums of terms err >= 0, each within a relative (terms * 2**-53) of
+            # its exact value, and the exact run sum is at most the exact total: a
+            # total within half the bound clears every run. NaN fails the comparison.
+            if not err.sum() <= DIVERGENCE_NORM**2 / 2:
+                overflow = alive & ~(err.sum(axis=2) <= DIVERGENCE_NORM**2)
+                if overflow.any():
+                    aborted_at[overflow] = t
+                    alive &= ~overflow
+                    alive_count -= overflow.sum(axis=1)
+                    frozen = True
+            if frozen:
+                # aborted runs restart from zero each step, so their values
+                # stay finite, add nothing to the sums and never reach the solvers
+                dead = ~alive
+                fixed_state.weights[dead[:n_fixed]] = 0.0
+                for state, dead_runs in zip(states, dead[n_fixed:]):
+                    state.weights[dead_runs] = 0.0
+                    if state.increment_power is not None:
+                        state.increment_power[dead_runs] = 0.0
+                err[dead] = 0.0
+            err_sum[t] = err.sum(axis=1)
+            counts[t] = alive_count
+            if t >= window_start:
+                window_net += err.sum(axis=2)
+                window_cluster += err @ compiled.membership
 
     aborted = aborted_at >= 0
     run_steady = window_net / (window_len * n)

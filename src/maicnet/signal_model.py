@@ -8,7 +8,7 @@ node adapts with one step size. Parameters are random across
 experiment runs: nodes in the same cluster share one draw, and draws
 across clusters are correlated through a cluster-level covariance. The
 weight programs and the steady-state theory read those statistics
-through one (N, N) table, ``SignalModel.second_moment_traces``.
+through ``SignalModel.gradient_noise_power`` and ``second_moment_traces``.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ class SignalModel:
     cluster_cov: np.ndarray
     cluster_of: np.ndarray
     _cluster_sqrt: np.ndarray = field(init=False, repr=False)
+    _cluster_traces: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dim = int(self.dim)
@@ -95,14 +96,19 @@ class SignalModel:
             raise ValueError("cluster_cov must be (P*M, P*M)")
         if not np.allclose(cluster_cov, cluster_cov.T, atol=1e-12, rtol=0.0):
             raise ValueError("cluster_cov must be symmetric")
+        mean = cluster_means.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+            cluster_traces = block_trace(cluster_cov + np.outer(mean, mean), dim)
+        if not np.isfinite(cluster_traces).all():
+            raise ValueError("parameter second moment overflows float64; reduce the cluster means")
 
         cluster_sqrt = _psd_sqrt(cluster_cov, "cluster parameter covariance")
 
-        for arr in (reg_power, noise_var, cluster_means, cluster_cov, cluster_of):
+        for arr in (reg_power, noise_var, cluster_means, cluster_cov, cluster_of, cluster_traces):
             arr.flags.writeable = False
         settled = dict(dim=dim, reg_power=reg_power, noise_var=noise_var, step_size=step_size,
                        cluster_means=cluster_means, cluster_cov=cluster_cov, cluster_of=cluster_of,
-                       _cluster_sqrt=cluster_sqrt)
+                       _cluster_sqrt=cluster_sqrt, _cluster_traces=cluster_traces)
         for name, value in settled.items():
             object.__setattr__(self, name, value)
 
@@ -115,14 +121,19 @@ class SignalModel:
         return self.cluster_means.shape[0]
 
     @property
+    def gradient_noise_power(self) -> np.ndarray:
+        """(N,) gradient-noise power ``mu^2 sigma_v^2 tr(R_u)``, ``tr(R_u) = M r``,
+        the noise table that the weight programs and the steady-state theory read."""
+        mu = self.step_size
+        return (mu**2) * self.noise_var * (self.dim * self.reg_power)
+
+    @property
     def second_moment_traces(self) -> np.ndarray:
         """(N, N) block traces of the node-stacked parameter second moment, the
         moment table that the weight programs and the steady-state theory read.
         A node's block is its cluster's, so the table is the cluster one's,
         spread to the nodes."""
-        mean = self.cluster_means.reshape(-1)
-        cluster_traces = block_trace(self.cluster_cov + np.outer(mean, mean), self.dim)
-        return cluster_traces[np.ix_(self.cluster_of, self.cluster_of)]
+        return self._cluster_traces[np.ix_(self.cluster_of, self.cluster_of)]
 
     @classmethod
     def from_profiles(
@@ -198,7 +209,10 @@ def parameter_moments_from_correlation(
     if spread_scale < 0:
         raise ValueError("spread_scale must be nonnegative")
 
-    cluster_cov = spread_scale * gamma * np.outer(sigma_w, sigma_w)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        cluster_cov = spread_scale * gamma * np.outer(sigma_w, sigma_w)
+    if not np.isfinite(cluster_cov).all():
+        raise ValueError("parameter covariance overflows float64; reduce sigma_w or spread_scale")
     eigval = np.linalg.eigvalsh(cluster_cov)
     if eigval.min() < -PSD_CLIP_TOL * max(1.0, float(eigval.max(initial=0.0))):
         raise ValueError(

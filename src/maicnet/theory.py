@@ -22,9 +22,14 @@ whose eigenvalues are B's (each M-fold in B), and the Stein solution is
 trace, and the analysis runs on N x N matrices only. With
 ``merged = A' C'`` and ``leak = A' (I - C')`` the traced forcing terms are
 
-* gradient noise: ``M merged diag(mu^2 sigma_k^2 r_k) merged'``,
+* gradient noise: ``merged diag(mu^2 sigma_k^2 M r_k) merged'``,
 * spread: ``leak bt(W) leak'``, with W the parameter second moment,
 * cross term: ``2 spread g'``, with ``g = B_N (I - B_N)^-1``.
+
+The MSD is read off the adjoint equation ``X_N = B_N X_N B_N' + bt(F)``:
+by duality ``<bt(F), S_N(Y)> = <X_N, Y>`` for every Y (Levine & Athans,
+IEEE TAC, 1970), so one solve per forcing gives ``tr(X_N) / N`` and, from
+X_N's diagonal, every cluster's MSD, whatever the cluster count.
 """
 
 from __future__ import annotations
@@ -94,9 +99,7 @@ def _forcing(
     if rho >= 1.0:
         raise ValueError(f"mean-unstable configuration, spectral radius {float(rho)}")
     merged, leak, transition = operators
-    mu = model.step_size
-    noise_power = (mu * (model.noise_var * model.reg_power)) * mu
-    noise = model.dim * (merged * noise_power) @ merged.T
+    noise = (merged * model.gradient_noise_power) @ merged.T
     spread = leak @ model.second_moment_traces @ leak.T
     # geometric series limit of the error/spread coupling, no explicit inverse
     identity = np.eye(transition.shape[0])
@@ -111,22 +114,23 @@ def solve_stein(transition: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     and each step ``S <- S + A S A'``, ``A <- A A`` doubles the summed
     terms. Raises ``ArithmeticError`` if S still changes after
     ``STEIN_MAX_DOUBLINGS`` steps, or if the residual exceeds
-    ``SOLVE_RESIDUAL_TOL`` relative to Y.
+    ``SOLVE_RESIDUAL_TOL`` relative to Y. Sizes are largest magnitudes,
+    which unlike Frobenius norms cannot overflow on finite entries.
     """
     power, solution = transition.T, np.asarray(rhs, dtype=float)
     for _ in range(STEIN_MAX_DOUBLINGS):
         update = power @ solution @ power.T
         solution = solution + update
-        change = np.linalg.norm(update, axis=(1, 2))
-        if np.all(change <= np.finfo(float).eps * np.linalg.norm(solution, axis=(1, 2))):
+        change = np.abs(update).max(axis=(1, 2))
+        if np.all(change <= np.finfo(float).eps * np.abs(solution).max(axis=(1, 2))):
             break
         power = power @ power
     else:
         raise ArithmeticError(f"Stein doubling did not converge in {STEIN_MAX_DOUBLINGS} steps")
-    residual = solution - transition.T @ solution @ transition - rhs
-    residual = np.linalg.norm(residual) / np.linalg.norm(rhs)
-    if residual > SOLVE_RESIDUAL_TOL:
-        raise ArithmeticError(f"variance solve residual {float(residual)} exceeds tolerance")
+    residual = np.abs(solution - transition.T @ solution @ transition - rhs).max()
+    scale = np.abs(rhs).max()  # a zero Y has the exact solution 0 and no relative residual
+    if residual > SOLVE_RESIDUAL_TOL * scale:
+        raise ArithmeticError(f"variance solve residual {float(residual / scale)} exceeds tolerance")
     return solution
 
 
@@ -138,10 +142,10 @@ def steady_state_msd(
 ) -> "tuple[float, float] | tuple[float, float, np.ndarray]":
     """Closed-form network MSD and its cross-term-free approximation.
 
-    Solves the Stein equation ``S = B' S B + I`` and returns ``<F, S> / N``
-    for the full and the approximate forcing F. With ``per_cluster`` each
-    cluster indicator is one more right-hand side of the same solve, and
-    the cluster deviation is ``<F, S_p> / size_p``.
+    Returns ``<F, S> / N`` for the full and the approximate forcing F, with
+    S the solution of ``S = B' S B + I``, as ``tr(X) / N`` from the adjoint
+    ``X = B X B' + F``. ``per_cluster`` adds each cluster's mean of X's
+    diagonal over its nodes, from the same solve.
     """
     operators = _operators(combine, cooperation, model)
     return _steady_state_msd(model, operators, spectral_radius(operators[2]), per_cluster)
@@ -149,28 +153,20 @@ def steady_state_msd(
 
 def _steady_state_msd(model: SignalModel, operators, rho: float, per_cluster: bool):
     """``steady_state_msd`` from ``_operators`` and its transition's spectral radius."""
-    rho_variance = rho**2
+    rho_variance = rho * rho  # inf, not OverflowError, for a huge radius
     if rho_variance >= 1.0:
         raise ValueError(f"mean-square-unstable configuration, variance radius {float(rho_variance)}")
     noise, spread, cross = _forcing(model, operators, rho)
-
-    rhs = [np.eye(model.n_nodes)]
-    if per_cluster:
-        rhs.extend(np.diag((model.cluster_of == p).astype(float)) for p in range(model.n_clusters))
-    solution = solve_stein(operators[2], np.stack(rhs)).reshape(len(rhs), -1)
-
-    full = (noise + spread + cross).reshape(-1)
-    approx = (noise + spread).reshape(-1)
-    n_nodes = model.n_nodes
-    msd = float(full @ solution[0]) / n_nodes
-    msd_approx = float(approx @ solution[0]) / n_nodes
+    approx = noise + spread
+    forcing = np.stack((approx + cross, approx))
+    forcing = 0.5 * (forcing + forcing.transpose(0, 2, 1))  # <F, S> sees F's symmetric part
+    diagonal = np.diagonal(solve_stein(operators[2].T, forcing), axis1=1, axis2=2)
+    msd, msd_approx = diagonal.sum(axis=1) / model.n_nodes
     if not per_cluster:
-        return msd, msd_approx
-    sizes = np.bincount(model.cluster_of, minlength=model.n_clusters)
-    cluster_msd = np.array(
-        [float(full @ solution[1 + p]) / sizes[p] for p in range(model.n_clusters)]
-    )
-    return msd, msd_approx, cluster_msd
+        return float(msd), float(msd_approx)
+    # the largest label is n_clusters - 1, so both counts have n_clusters bins
+    cluster_msd = np.bincount(model.cluster_of, diagonal[0]) / np.bincount(model.cluster_of)
+    return float(msd), float(msd_approx), cluster_msd
 
 
 def _db(value: "float | None") -> "float | None":
@@ -223,7 +219,8 @@ def analyze(
 ) -> TheoryReport:
     """Full report: stability characterization plus steady-state deviations.
 
-    ``rho_variance``, the radius of ``S -> B' S B``, is exactly ``rho_mean**2``.
+    ``rho_variance``, the radius of ``S -> B' S B``, is exactly ``rho_mean**2``;
+    it saturates to inf for a huge ``rho_mean``.
     """
     operators = _operators(combine, cooperation, model)
     rho_mean = spectral_radius(operators[2])
@@ -234,7 +231,7 @@ def analyze(
         msd, msd_approx, cluster_msd = _steady_state_msd(model, operators, rho_mean, per_cluster=True)
     return TheoryReport(
         rho_mean=rho_mean,
-        rho_variance=rho_mean**2,
+        rho_variance=rho_mean * rho_mean,
         contraction=contraction_bound(model),
         step_bounds=bounds,
         mean_stable=mean_stable,

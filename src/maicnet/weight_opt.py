@@ -258,14 +258,6 @@ def _triangle_minimum(quad, lin, ridge) -> tuple[np.ndarray, np.ndarray]:
 _CLOSED_FORMS = {2: _segment_minimum, 3: _triangle_minimum}
 
 
-def _moment_tables(model: SignalModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node gradient-noise power ``mu^2 sigma_v^2 tr(R_u)``, with
-    ``tr(R_u) = M r``, and the block-traced parameter second moment."""
-    mu = model.step_size
-    noise_term = (mu**2) * model.noise_var * (model.dim * model.reg_power)
-    return noise_term, model.second_moment_traces
-
-
 def solve_local_columns(
     topology: ClusteredTopology, gram: np.ndarray, power: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +299,7 @@ def solve_p2_all_nodes(
     each by the KKT residual of its exact point.
     """
     n = topology.n_nodes
-    noise_term, second_moment = _moment_tables(model)
+    noise_term, second_moment = model.gradient_noise_power, model.second_moment_traces
     power = np.broadcast_to(noise_term[None, :, None], (1, n, n))
     columns, ok = solve_local_columns(topology, second_moment[None], power)
     coop = columns[0]
@@ -351,7 +343,7 @@ class CentralizedQP:
 def build_centralized_qp(
     model: SignalModel, topology: ClusteredTopology, combine: np.ndarray
 ) -> CentralizedQP:
-    noise_term, second_moment = _moment_tables(model)
+    noise_term, second_moment = model.gradient_noise_power, model.second_moment_traces
     coupling = combine @ combine.T
     curvature = np.diag(noise_term) + second_moment
     return CentralizedQP(

@@ -4,7 +4,8 @@ Everything here deliberately takes a different route than the library
 code it validates: explicit index loops instead of vectorized identities,
 exhaustive grids instead of closed-form solvers, fixed-point iteration
 instead of linear solves, python sets instead of masked arrays, the
-stacked (N*M, N*M) theory instead of its N x N factors. Slow is fine;
+stacked (N*M, N*M) theory instead of its N x N factors, one primal Stein
+solve per cluster instead of the adjoint solve. Slow is fine;
 these only ever run on small instances.
 """
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from maicnet import theory
 from maicnet.signal_model import SignalModel, _psd_sqrt
 from maicnet.strategies import StrategyState, adapt, intra_cluster_combine, row_dot
 from maicnet.theory import SIZE_CAP, solve_stein, spectral_radius
@@ -362,6 +364,26 @@ def lifted_analysis(combine, cooperation, model):
         spectral_radius(transition),
         float(full @ solution[0]) / n,
         float(approx @ solution[0]) / n,
+        cluster_msd,
+    )
+
+
+def primal_msd(combine, cooperation, model):
+    """``(msd, msd_approx, cluster_msd)`` by the primal route on the N x N
+    matrices: one Stein solve ``S = B_N' S B_N + Y`` for ``Y = I`` and one per
+    cluster indicator, each contracted with the forcing as ``<F, S> / size``."""
+    operators = theory._operators(combine, cooperation, model)
+    noise, spread, cross = theory._forcing(model, operators, spectral_radius(operators[2]))
+    rhs = [np.eye(model.n_nodes)]
+    rhs.extend(np.diag((model.cluster_of == p).astype(float)) for p in range(model.n_clusters))
+    solution = solve_stein(operators[2], np.stack(rhs)).reshape(len(rhs), -1)
+    full = (noise + spread + cross).reshape(-1)
+    approx = (noise + spread).reshape(-1)
+    sizes = np.bincount(model.cluster_of, minlength=model.n_clusters)
+    cluster_msd = np.array([full @ solution[1 + p] / sizes[p] for p in range(model.n_clusters)])
+    return (
+        float(full @ solution[0]) / model.n_nodes,
+        float(approx @ solution[0]) / model.n_nodes,
         cluster_msd,
     )
 

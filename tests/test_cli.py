@@ -164,6 +164,22 @@ class TestTheoryCommand:
         assert len(payload["segments"]) == 1
         assert payload["segments"][0]["msd_db"] < 0
 
+    def test_huge_transition_radius_writes_strict_json(self, capsys, tmp_path):
+        # rho_mean near 5e298: its square saturates to inf, written as null
+        scenario = presets.get_scenario("a")
+        spec = tmp_path / "huge.json"
+        replace(scenario, reg_power=(1e300,) * scenario.n_nodes).to_json(spec)
+        code, out, err = run_cli(capsys, "theory", "--scenario", str(spec))
+        assert code == 0, err
+
+        def reject(token):
+            raise ValueError(f"non-finite token {token}")
+
+        segment = json.loads(out, parse_constant=reject)["segments"][0]
+        assert segment["rho_variance"] is None
+        assert segment["rho_mean"] > 1e298
+        assert segment["mean_square_stable"] is False and segment["msd"] is None
+
     def test_unknown_preset_fails_cleanly(self, capsys):
         code, _, err = run_cli(capsys, "theory", "--scenario", "zz")
         assert code == 1
@@ -391,6 +407,9 @@ class TestSimulate:
             ("a", ("eta",), -5.0, "eta must be non-negative, got -5.0"),
             ("a", ("step_size",), 0.0, "step_size must be positive, got 0.0"),
             ("a", ("step_size",), -0.01, "step_size must be positive, got -0.01"),
+            ("a", ("segments", 0, "cluster_means", 0, 0), 1e160,
+             "parameter second moment overflows float64"),
+            ("a", ("sigma_w", 0), 1e200, "parameter covariance overflows float64"),
         ],
     )
     def test_malformed_scenario_file_fails_with_one_error_line(
@@ -468,6 +487,35 @@ class TestSimulate:
         assert code == 0, err
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["strategies"]["maic-p2"]["certificates"][0]["certified"] is True
+
+    @pytest.mark.parametrize(
+        "field, value, diverged",
+        [
+            ("eta", 1e300, "mdlms-averaging"),
+            ("reg_power", 1e300, "maic-p1, maic-p2, maic-adaptive, mdlms-averaging, atc"),
+            ("cluster_means", 1e150, "maic-p1, maic-p2, maic-adaptive, mdlms-averaging, atc"),
+        ],
+    )
+    def test_overflowing_runs_abort_without_a_warning(self, capsys, tmp_path, field, value,
+                                                      diverged):
+        # the runs overflow to inf and NaN, which the abort test catches; the
+        # test filter would turn any overflow warning into an exception
+        scenario = presets.get_scenario("a", runs=4, iterations=40)
+        if field == "eta":
+            scenario = replace(scenario, eta=value)
+        elif field == "reg_power":
+            scenario = replace(scenario, reg_power=(value,) * scenario.n_nodes)
+        else:
+            means = tuple((value,) * scenario.dim for _ in scenario.sigma_w)
+            scenario = replace(scenario, segments=(replace(scenario.segments[0],
+                                                           cluster_means=means),))
+        spec = tmp_path / "overflow.json"
+        scenario.to_json(spec)
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(spec), "--out", str(tmp_path / "sim")
+        )
+        assert code == 1
+        assert err.splitlines() == [f"error: every run diverged for {diverged}"]
 
     def test_all_diverged_runs_write_strict_json_and_fail(self, capsys, tmp_path):
         scenario = replace(

@@ -137,6 +137,21 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="step_size must be nonnegative, got -0.1"):
             replace(line_model, step_size=-0.1)
 
+    def test_moments_that_overflow_float64_are_refused_by_name(self, two_cluster_line, line_model):
+        # refused before any eigen-decomposition, and with no overflow warning
+        with pytest.raises(ValueError, match="parameter covariance overflows float64"):
+            parameter_moments_from_correlation(
+                np.array([0, 1]), 1, np.ones((2, 1)), np.array([1e200, 1.0]), 1.0, np.eye(2)
+            )
+        with pytest.raises(ValueError, match="parameter second moment overflows float64"):
+            replace(line_model, cluster_means=np.array([[1e160], [1.4]]))
+        # opposite huge means: the cross traces are inf - inf
+        with pytest.raises(ValueError, match="parameter second moment overflows float64"):
+            SignalModel.from_profiles(
+                two_cluster_line, 2, np.ones(4), np.ones(4), 0.1,
+                np.array([[1e200, -1e200], [1e200, 1e200]]), (1.0, 0.8), 0.05**2, np.eye(2),
+            )
+
     def test_fields_are_read_only(self, line_model):
         with pytest.raises(ValueError, match="read-only"):
             line_model.reg_power[0] = 2.0

@@ -44,6 +44,7 @@ from oracles import (
     mean_transition_reference,
     msd_forcing_terms,
     msd_series,
+    primal_msd,
     random_cooperation,
     regressor_covariances,
     sampled_variance_transition,
@@ -270,6 +271,21 @@ class TestSteinSolve:
         with pytest.raises(ArithmeticError, match="did not converge"):
             solve_stein(np.eye(2), np.eye(2)[None])
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+    def test_adjoint_solve_is_dual_to_the_primal(self, n):
+        """``<F, S(Y)> = <X(F), Y>`` for ``S = B' S B + Y`` and ``X = B X B' + F``."""
+        rng = np.random.default_rng(500 + n)
+        for radius in (0.3, 0.9, 0.99):
+            transition = _scaled_to_radius(rng, n, radius)
+            forcing, rhs = rng.standard_normal((2, 1, n, n))
+            primal = np.vdot(forcing, solve_stein(transition, rhs))
+            dual = np.vdot(solve_stein(transition.T, forcing), rhs)
+            assert abs(primal - dual) <= 1e-12 * abs(primal)
+
+    def test_zero_right_hand_side_has_the_zero_solution(self):
+        transition = _scaled_to_radius(np.random.default_rng(9), 4, 0.9)
+        assert not solve_stein(transition, np.zeros((2, 4, 4))).any()
+
 
 class TestForcingTerms:
     def test_noise_and_spread_match_looped_assembly(self, two_cluster_line, line_model):
@@ -375,6 +391,45 @@ class TestSteadyStateMsd:
         assert msd_coop_far > msd_alone_far
 
 
+class TestAdjointRoute:
+    """The adjoint solve gives what one primal solve per cluster gives."""
+
+    @staticmethod
+    def _assert_matches_the_primal(combine, cooperation, model):
+        msd, msd_approx, cluster_msd = steady_state_msd(
+            combine, cooperation, model, per_cluster=True
+        )
+        reference = primal_msd(combine, cooperation, model)
+        assert _relative(msd, reference[0]) <= 1e-12
+        assert _relative(msd_approx, reference[1]) <= 1e-12
+        for value, expected in zip(cluster_msd, reference[2]):
+            assert _relative(value, expected) <= 1e-12
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES + ("compile-n24-7",))
+    def test_every_fixed_rule_on_every_segment(self, name):
+        for combine, coop, model, _ in _fixed_rule_cases(name):
+            self._assert_matches_the_primal(combine, coop, model)
+
+    @pytest.mark.parametrize("n, clusters", [(5, 1), (8, 3), (12, 12)])
+    def test_random_connected_networks(self, n, clusters):
+        rng = np.random.default_rng(700 + n)
+        for _ in range(3):
+            self._assert_matches_the_primal(*_random_network(rng, n, 2, clusters))
+
+    @pytest.mark.parametrize("n, clusters", [(5, 1), (12, 4), (12, 12)])
+    def test_one_solve_on_two_right_hand_sides(self, monkeypatch, n, clusters):
+        combine, coop, model = _random_network(np.random.default_rng(n), n, 2, clusters)
+        shapes = []
+
+        def spy(transition, rhs):
+            shapes.append(np.shape(rhs))
+            return solve_stein(transition, rhs)
+
+        monkeypatch.setattr(theory, "solve_stein", spy)
+        steady_state_msd(combine, coop, model, per_cluster=True)
+        assert shapes == [(2, n, n)]
+
+
 class TestAnalyze:
     def test_report_fields_are_consistent(self, two_cluster_line, line_model):
         combine, _ = _line_weights(two_cluster_line)
@@ -411,6 +466,15 @@ class TestAnalyze:
         assert report.msd_db is None
         assert report.to_dict()["msd"] is None
 
+    def test_huge_radius_saturates_the_variance_radius(self, scalar_node):
+        # rho_mean = |1 - 0.1 * 1e300|, whose float power rho**2 would raise OverflowError
+        _, model = scalar_node
+        report = analyze(np.eye(1), np.eye(1), replace(model, reg_power=np.array([1e300])))
+        assert report.rho_mean == pytest.approx(1e299)
+        assert report.rho_variance == np.inf
+        assert not report.mean_square_stable
+        assert report.msd is None and report.cluster_msd is None
+
     def test_nonpositive_deviation_has_no_decibel_value(self, scalar_node):
         # a noiseless node with a known parameter has a closed-form MSD of 0
         _, model = scalar_node
@@ -437,10 +501,11 @@ def _compile_n24(seed):
     return workloads.build("compile-n24", seed)
 
 
-def _random_network(rng, n, dim):
+def _random_network(rng, n, dim, clusters=None):
     """A connected network of n nodes in contiguous, internally connected
-    clusters, a white model on it, and random combine and cooperation weights."""
-    p = int(rng.integers(1, min(n, 4) + 1))
+    clusters (``clusters`` of them, or 1 to 4 at random), a white model on
+    it, and random combine and cooperation weights."""
+    p = int(rng.integers(1, min(n, 4) + 1)) if clusters is None else clusters
     cuts = np.sort(rng.choice(np.arange(1, n), size=p - 1, replace=False))
     cluster_of = np.searchsorted(cuts, np.arange(n), side="right")
     edges = {(k, k + 1) for k in range(n - 1)}
@@ -466,6 +531,24 @@ def _random_network(rng, n, dim):
     return metropolis_weights(topology), random_cooperation(topology, rng), model
 
 
+def _fixed_rule_cases(name):
+    """``(combine, cooperation, model, report)`` of every fixed rule on every
+    segment of a preset, or of ``compile-n24-<seed>``."""
+    if name.startswith("compile-n24"):
+        scenario = _compile_n24(int(name.rsplit("-", 1)[1]))
+    else:
+        scenario = presets.get_scenario(name)
+    scenario = replace(scenario, strategies=harness.FIXED_WEIGHT_STRATEGIES)
+    compiled = harness.compile_scenario(scenario)
+    cases = [
+        (compiled.combine, coop, model, report)
+        for plan in compiled.plans
+        for coop, model, report in zip(plan.weights, compiled.models, plan.reports)
+    ]
+    assert len(cases) == len(harness.FIXED_WEIGHT_STRATEGIES) * len(scenario.segments)
+    return cases
+
+
 class TestBlockTraceIdentity:
     """The N x N analysis equals the lifted (N*M, N*M) one to rounding."""
 
@@ -482,18 +565,8 @@ class TestBlockTraceIdentity:
 
     @pytest.mark.parametrize("name", presets.PRESET_NAMES + ("compile-n24-0", "compile-n24-7"))
     def test_every_fixed_rule_on_every_segment(self, name):
-        if name.startswith("compile-n24"):
-            scenario = _compile_n24(int(name.rsplit("-", 1)[1]))
-        else:
-            scenario = presets.get_scenario(name)
-        scenario = replace(scenario, strategies=harness.FIXED_WEIGHT_STRATEGIES)
-        compiled = harness.compile_scenario(scenario)
-        checked = 0
-        for plan in compiled.plans:
-            for coop, model, report in zip(plan.weights, compiled.models, plan.reports):
-                self._assert_matches_the_lift(compiled.combine, coop, model, report)
-                checked += 1
-        assert checked == len(harness.FIXED_WEIGHT_STRATEGIES) * len(scenario.segments)
+        for case in _fixed_rule_cases(name):
+            self._assert_matches_the_lift(*case)
 
     @pytest.mark.parametrize(
         "n, dim", [(3, 1), (5, 2), (6, 3), (8, 4), (12, 3), (16, 4), (21, 3), (32, 2)]
