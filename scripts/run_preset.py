@@ -28,7 +28,7 @@ def main() -> None:
     header = f"{'strategy':18s} {'steady dB':>10s} {'se dB':>8s} {'gain dB':>8s} {'theory dB':>10s}"
     print(header)
     for name, curve in result.curves.items():
-        gain = "" if atc is None or name == "atc" else f"{harness.msd_gain(curve, atc):8.3f}"
+        gain = "" if atc is None or name == "atc" else f"{harness.msd_gain_se(curve, atc)[0]:8.3f}"
         reports = result.reports[name]
         theory_db = "" if not reports else f"{reports[-1].msd_db:10.3f}"
         print(

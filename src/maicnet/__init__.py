@@ -13,13 +13,12 @@ from .harness import (
     ScenarioResult,
     SegmentSpec,
     compile_scenario,
-    msd_gain,
     msd_gain_se,
     run_scenario,
 )
 from .presets import PRESET_NAMES, get_scenario
 from .signal_model import SignalModel, sample_parameters
-from .theory import TheoryReport, analyze, steady_state_msd
+from .theory import TheoryReport, analyze
 from .topology import (
     ClusteredTopology,
     averaging_rule_weights,
@@ -46,12 +45,10 @@ __all__ = [
     "cooperation_from_regularizer",
     "get_scenario",
     "metropolis_weights",
-    "msd_gain",
     "msd_gain_se",
     "run_scenario",
     "sample_parameters",
     "solve_p1",
     "solve_p2_all_nodes",
-    "steady_state_msd",
     "__version__",
 ]

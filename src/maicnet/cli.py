@@ -138,7 +138,7 @@ def _cmd_simulate(args) -> int:
             continue
         line = f"  {name:16s} steady-state {curve.steady_state_db():8.3f} dB"
         if baseline in result.curves and name != baseline and baseline not in diverged:
-            gain = harness.msd_gain(curve, result.curves[baseline])
+            gain = harness.msd_gain_se(curve, result.curves[baseline])[0]
             line += f"  gain over {baseline} {gain:6.3f} dB"
         if aborted:
             line += f"  ({aborted} aborted runs)"

@@ -53,7 +53,6 @@ __all__ = [
     "ScenarioResult",
     "compile_scenario",
     "run_scenario",
-    "msd_gain",
     "msd_gain_se",
     "write_weight_csv",
     "KNOWN_STRATEGIES",
@@ -247,15 +246,6 @@ class CompiledScenario:
     window_start: int  # first iteration of the steady-state window
 
 
-def _certificate_dict(solution: weight_opt.QPSolution) -> dict:
-    return {
-        "objective": float(solution.objective),
-        "kkt_residual": float(solution.kkt_residual),
-        "iterations": int(solution.iterations),
-        "certified": bool(solution.certified),
-    }
-
-
 def _no_cooperation(scenario, topology, combine, model):
     return np.eye(scenario.n_nodes), None
 
@@ -267,7 +257,12 @@ def _averaging_cooperation(scenario, topology, combine, model):
 
 def _p1_cooperation(scenario, topology, combine, model):
     coop, solution = weight_opt.solve_p1(model, topology, combine)
-    return coop, _certificate_dict(solution)
+    return coop, {
+        "objective": float(solution.objective),
+        "kkt_residual": float(solution.kkt_residual),
+        "iterations": int(solution.iterations),
+        "certified": bool(solution.certified),
+    }
 
 
 def _p2_cooperation(scenario, topology, combine, model):
@@ -449,8 +444,8 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int, threads: int =
     ``names`` (the fixed-weight stack first): ``err_sum`` (T, P, N),
     ``counts`` (T, P) of runs alive, ``run_steady`` (P, C),
     ``run_cluster`` (P, C, P_c) and ``aborted_at`` (P, C), the abort step or
-    -1; ``fallbacks`` (P,); ``learned``, per adaptive strategy, the sum of
-    its live runs' learned weights; and the runs' stream ``digests``.
+    -1; ``fallbacks`` (P,) and, per adaptive strategy, ``learned``, summed over
+    the runs that did not abort; and the runs' stream ``digests``.
     """
     scenario = compiled.scenario
     topology = compiled.topology
@@ -527,8 +522,8 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int, threads: int =
                     alive_count -= overflow.sum(axis=1)
                     frozen = True
             if frozen:
-                # aborted runs restart from zero each step, so their values
-                # stay finite, add nothing to the sums and never reach the solvers
+                # aborted runs restart from zero each step and add nothing to the sums; the
+                # adaptive rule still solves their weight programs, whose fallbacks go uncounted
                 dead = ~alive
                 fixed_state.weights[dead[:n_fixed]] = 0.0
                 for state, dead_runs in zip(states, dead[n_fixed:]):
@@ -555,7 +550,8 @@ def _simulate_chunk(compiled: CompiledScenario, lo: int, hi: int, threads: int =
         "run_steady": run_steady,
         "run_cluster": run_cluster,
         "aborted_at": aborted_at,
-        "fallbacks": np.array([s.fallback_count for s in [fixed_state] * n_fixed + states]),
+        "fallbacks": np.array([(state.fallback_count * live).sum()
+                               for state, live in zip([fixed_state] * n_fixed + states, alive)]),
         "learned": {
             plan.name: (state.learned_weights * alive[i, :, None, None]).sum(axis=0)
             for i, (plan, state) in enumerate(zip(others, states), n_fixed)
@@ -618,15 +614,10 @@ class MsdCurve:
         return np.nanmean(self.run_cluster_steady, axis=0)
 
 
-def msd_gain(curve: MsdCurve, baseline: MsdCurve) -> float:
-    """Steady-state improvement of ``curve`` over ``baseline`` in decibels,
-    from the runs valid in both, as ``summary.json`` records it."""
-    return msd_gain_se(curve, baseline)[0]
-
-
 def msd_gain_se(curve: MsdCurve, baseline: MsdCurve) -> tuple[float, float]:
-    """Gain and its standard error from paired per-run steady states; the
-    error is NaN with fewer than two valid pairs, the gain with none."""
+    """Steady-state gain of ``curve`` over ``baseline`` in decibels and its standard
+    error, from the per-run steady states valid in both, as ``summary.json`` records
+    them; the error is NaN with fewer than two valid pairs, the gain with none."""
     a = curve.run_steady
     b = baseline.run_steady
     valid = np.isfinite(a) & np.isfinite(b)

@@ -70,6 +70,7 @@ class SignalModel:
     cluster_of: np.ndarray
     _cluster_sqrt: np.ndarray = field(init=False, repr=False)
     _cluster_traces: np.ndarray = field(init=False, repr=False)
+    _gradient_noise_power: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dim = int(self.dim)
@@ -101,14 +102,22 @@ class SignalModel:
             cluster_traces = block_trace(cluster_cov + np.outer(mean, mean), dim)
         if not np.isfinite(cluster_traces).all():
             raise ValueError("parameter second moment overflows float64; reduce the cluster means")
+        # numpy's scalar power is the C pow of Python's float power, with an inf for its OverflowError
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+            gradient_noise_power = np.float64(step_size) ** 2 * noise_var * (dim * reg_power)
+        if not np.isfinite(gradient_noise_power).all():
+            raise ValueError("gradient noise power overflows float64; "
+                             "reduce step_size, noise_var or reg_power")
 
         cluster_sqrt = _psd_sqrt(cluster_cov, "cluster parameter covariance")
 
-        for arr in (reg_power, noise_var, cluster_means, cluster_cov, cluster_of, cluster_traces):
+        for arr in (reg_power, noise_var, cluster_means, cluster_cov, cluster_of, cluster_traces,
+                    gradient_noise_power):
             arr.flags.writeable = False
         settled = dict(dim=dim, reg_power=reg_power, noise_var=noise_var, step_size=step_size,
                        cluster_means=cluster_means, cluster_cov=cluster_cov, cluster_of=cluster_of,
-                       _cluster_sqrt=cluster_sqrt, _cluster_traces=cluster_traces)
+                       _cluster_sqrt=cluster_sqrt, _cluster_traces=cluster_traces,
+                       _gradient_noise_power=gradient_noise_power)
         for name, value in settled.items():
             object.__setattr__(self, name, value)
 
@@ -124,8 +133,7 @@ class SignalModel:
     def gradient_noise_power(self) -> np.ndarray:
         """(N,) gradient-noise power ``mu^2 sigma_v^2 tr(R_u)``, ``tr(R_u) = M r``,
         the noise table that the weight programs and the steady-state theory read."""
-        mu = self.step_size
-        return (mu**2) * self.noise_var * (self.dim * self.reg_power)
+        return self._gradient_noise_power
 
     @property
     def second_moment_traces(self) -> np.ndarray:

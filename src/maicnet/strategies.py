@@ -53,14 +53,14 @@ class StrategyState:
     ``weights`` holds the post-combine iterates from the previous
     iteration. The adaptive variant additionally tracks the smoothed
     squared adaptation increments and the last solved cooperation
-    weights; ``fallback_count`` counts weight solves that fell back to
-    the self-only column.
+    weights; ``fallback_count`` counts, per run, the weight solves that
+    fell back to the self-only column.
     """
 
     weights: np.ndarray  # (..., N, M)
     increment_power: "np.ndarray | None" = None  # (..., N, N)
     learned_weights: "np.ndarray | None" = None  # (..., N, N)
-    fallback_count: int = 0
+    fallback_count: "np.ndarray | int" = 0  # (...) per run; 0 where no weight is solved
 
 
 def init_state(
@@ -78,6 +78,7 @@ def init_state(
         power = np.zeros((n_nodes, n_nodes) + batch_shape)
         state.increment_power = np.moveaxis(power, (0, 1), (-2, -1))
         state.learned_weights = np.zeros(batch_shape + (n_nodes, n_nodes))
+        state.fallback_count = np.zeros(batch_shape, dtype=np.int64)
     return state
 
 
@@ -206,7 +207,7 @@ def _solve_learned_columns(
         runs, nodes = np.nonzero(~ok)
         learned[runs, :, nodes] = 0.0
         learned[runs, nodes, nodes] = 1.0
-        state.fallback_count += runs.size
+        state.fallback_count += (~ok).sum(axis=1).reshape(batch_shape)
     return learned.reshape(batch_shape + (n, n))
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "mean_stability_bounds",
     "contraction_bound",
     "solve_stein",
-    "steady_state_msd",
     "TheoryReport",
     "analyze",
 ]
@@ -87,17 +86,13 @@ def contraction_bound(model: SignalModel) -> float:
     return float(np.max(np.abs(1.0 - model.step_size * model.reg_power)))
 
 
-def _forcing(
-    model: SignalModel, operators, rho: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _forcing(model: SignalModel, operators) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block traces (N, N) of the gradient-noise, spread and cross forcing, from
-    ``_operators`` and its transition's spectral radius.
+    the ``_operators`` of a mean-stable configuration.
 
     The cross term is the steady-state limit of the error/spread coupling
     recursion, written in closed form through the mean transition.
     """
-    if rho >= 1.0:
-        raise ValueError(f"mean-unstable configuration, spectral radius {float(rho)}")
     merged, leak, transition = operators
     noise = (merged * model.gradient_noise_power) @ merged.T
     spread = leak @ model.second_moment_traces @ leak.T
@@ -134,36 +129,19 @@ def solve_stein(transition: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def steady_state_msd(
-    combine: np.ndarray,
-    cooperation: np.ndarray,
-    model: SignalModel,
-    per_cluster: bool = False,
-) -> "tuple[float, float] | tuple[float, float, np.ndarray]":
-    """Closed-form network MSD and its cross-term-free approximation.
-
-    Returns ``<F, S> / N`` for the full and the approximate forcing F, with
-    S the solution of ``S = B' S B + I``, as ``tr(X) / N`` from the adjoint
-    ``X = B X B' + F``. ``per_cluster`` adds each cluster's mean of X's
-    diagonal over its nodes, from the same solve.
+def _steady_state_msd(model: SignalModel, operators) -> tuple[float, float, np.ndarray]:
+    """Closed-form network MSD, its cross-term-free approximation and each
+    cluster's MSD, from the ``_operators`` of a mean-stable configuration:
+    ``<F, S> / N`` for the full and the approximate forcing F, with S the
+    solution of ``S = B' S B + I``, read as ``tr(X) / N`` from the adjoint
+    ``X = B X B' + F``, and from the same solve each cluster's mean of X's diagonal.
     """
-    operators = _operators(combine, cooperation, model)
-    return _steady_state_msd(model, operators, spectral_radius(operators[2]), per_cluster)
-
-
-def _steady_state_msd(model: SignalModel, operators, rho: float, per_cluster: bool):
-    """``steady_state_msd`` from ``_operators`` and its transition's spectral radius."""
-    rho_variance = rho * rho  # inf, not OverflowError, for a huge radius
-    if rho_variance >= 1.0:
-        raise ValueError(f"mean-square-unstable configuration, variance radius {float(rho_variance)}")
-    noise, spread, cross = _forcing(model, operators, rho)
+    noise, spread, cross = _forcing(model, operators)
     approx = noise + spread
     forcing = np.stack((approx + cross, approx))
     forcing = 0.5 * (forcing + forcing.transpose(0, 2, 1))  # <F, S> sees F's symmetric part
     diagonal = np.diagonal(solve_stein(operators[2].T, forcing), axis1=1, axis2=2)
     msd, msd_approx = diagonal.sum(axis=1) / model.n_nodes
-    if not per_cluster:
-        return float(msd), float(msd_approx)
     # the largest label is n_clusters - 1, so both counts have n_clusters bins
     cluster_msd = np.bincount(model.cluster_of, diagonal[0]) / np.bincount(model.cluster_of)
     return float(msd), float(msd_approx), cluster_msd
@@ -217,7 +195,7 @@ def analyze(
     cooperation: np.ndarray,
     model: SignalModel,
 ) -> TheoryReport:
-    """Full report: stability characterization plus steady-state deviations.
+    """The closed form's report: stability, and steady-state deviations when mean-stable.
 
     ``rho_variance``, the radius of ``S -> B' S B``, is exactly ``rho_mean**2``;
     it saturates to inf for a huge ``rho_mean``.
@@ -228,7 +206,7 @@ def analyze(
     stable = rho_mean < 1.0
     msd = msd_approx = cluster_msd = None
     if stable:
-        msd, msd_approx, cluster_msd = _steady_state_msd(model, operators, rho_mean, per_cluster=True)
+        msd, msd_approx, cluster_msd = _steady_state_msd(model, operators)
     return TheoryReport(
         rho_mean=rho_mean,
         rho_variance=rho_mean * rho_mean,

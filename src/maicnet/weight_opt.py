@@ -27,8 +27,6 @@ __all__ = [
     "solve_simplex_qp_batch",
     "solve_local_columns",
     "solve_p2_all_nodes",
-    "CentralizedQP",
-    "build_centralized_qp",
     "solve_p1",
 ]
 
@@ -292,6 +290,16 @@ def solve_local_columns(
     return columns.reshape(batch, n, n), ok.T
 
 
+def _stationarity(coop, curvature, cross, coupling, mask) -> tuple[np.ndarray, list[float]]:
+    """Half gradient ``K C G - W G`` of the surrogate ``tr(C G C' K) - 2 tr(C G W)``
+    (K, W, G: ``curvature``, ``cross``, ``coupling``) at C = ``coop``, and each
+    column's KKT residual on its support ``mask[:, k]``; P2 is the case G = I.
+    """
+    half_grad = curvature @ coop @ coupling - cross @ coupling
+    grad = 2.0 * half_grad
+    return half_grad, [kkt_residual(coop[s, k], grad[s, k]) for k, s in enumerate(mask.T)]
+
+
 def solve_p2_all_nodes(
     model: SignalModel, topology: ClusteredTopology
 ) -> tuple[np.ndarray, list[QPSolution]]:
@@ -304,76 +312,42 @@ def solve_p2_all_nodes(
     columns, ok = solve_local_columns(topology, second_moment[None], power)
     coop = columns[0]
     # every column's gradient and objective at once: coop is zero off the supports
-    half_grad = (np.diag(noise_term) + second_moment) @ coop - second_moment
-    objective = np.einsum("lk,lk->k", coop, half_grad - second_moment)
-    solutions = []
-    for k, support in enumerate(topology.inter_plus.T):
-        q, grad = coop[support, k], 2.0 * half_grad[support, k]
-        residual = kkt_residual(q, grad)
-        certified = bool(ok[0, k]) and residual <= KKT_TOL
-        solutions.append(QPSolution(q, float(objective[k]), residual, 0, certified))
-    return coop, solutions
-
-
-@dataclass(frozen=True)
-class CentralizedQP:
-    """Network-wide cooperation-weight program in trace-compressed form.
-
-    The full program lives on stacked (N*M)-dimensional moments; because
-    the unknown acts blockwise, every term collapses to traces of M x M
-    blocks, leaving N x N data. ``coupling`` is the combine-weight Gram
-    matrix, ``curvature`` the compressed noise-plus-parameter moment, and
-    ``cross`` the compressed parameter second moment.
-    """
-
-    coupling: np.ndarray  # (N, N)
-    curvature: np.ndarray  # (N, N)
-    cross: np.ndarray  # (N, N)
-    support_mask: np.ndarray  # (N, N) bool, column convention
-
-    def objective(self, coop: np.ndarray) -> float:
-        quad = np.trace(coop @ self.coupling @ coop.T @ self.curvature)
-        lin = np.trace(coop @ self.coupling @ self.cross)
-        return float(quad - 2.0 * lin)
-
-    def gradient(self, coop: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.curvature @ coop @ self.coupling - self.cross @ self.coupling)
-
-
-def build_centralized_qp(
-    model: SignalModel, topology: ClusteredTopology, combine: np.ndarray
-) -> CentralizedQP:
-    noise_term, second_moment = model.gradient_noise_power, model.second_moment_traces
-    coupling = combine @ combine.T
     curvature = np.diag(noise_term) + second_moment
-    return CentralizedQP(
-        coupling=coupling,
-        curvature=curvature,
-        cross=second_moment,
-        support_mask=topology.inter_plus,
-    )
+    half_grad, residuals = _stationarity(coop, curvature, second_moment, np.eye(n), topology.inter_plus)
+    objective = np.einsum("lk,lk->k", coop, half_grad - second_moment)
+    return coop, [
+        QPSolution(coop[s, k], float(objective[k]), r, 0, bool(ok[0, k]) and r <= KKT_TOL)
+        for k, (s, r) in enumerate(zip(topology.inter_plus.T, residuals))
+    ]
 
 
 def solve_p1(
     model: SignalModel, topology: ClusteredTopology, combine: np.ndarray
 ) -> tuple[np.ndarray, QPSolution]:
-    """Solve the centralized program exactly by the active-set method.
+    """Solve the centralized program P1 exactly by the active-set method.
 
-    The unknowns are the cooperation entries on the supports, grouped by
-    column, with ``Q[(l, k), (m, j)] = coupling[k, j] curvature[l, m]`` and
-    ``lin[(l, k)] = (cross coupling)[l, k]``; the identity cooperation is
-    the starting vertex. The certificate carries the worst per-column KKT
+    P1 minimizes ``tr(C G C' K) - 2 tr(C G W)`` over cooperation matrices C
+    with simplex columns on the inter-cluster supports, where ``G = A A'`` is
+    the combine Gram, W the traced parameter second moment and
+    ``K = diag(gradient_noise_power) + W``. The unknowns are the entries on
+    the supports, grouped by column, with ``Q[(l, k), (m, j)] = G[k, j] K[l, m]``
+    and ``lin[(l, k)] = (W G)[l, k]``; the identity cooperation is the
+    starting vertex. The certificate carries the worst per-column KKT
     residual and the active-set iterations.
     """
-    qp = build_centralized_qp(model, topology, combine)
-    cols, rows = np.nonzero(qp.support_mask.T)  # entries column by column
-    quad = qp.coupling[np.ix_(cols, cols)] * qp.curvature[np.ix_(rows, rows)]
-    lin = (qp.cross @ qp.coupling)[rows, cols]
+    second_moment = model.second_moment_traces
+    coupling = combine @ combine.T
+    curvature = np.diag(model.gradient_noise_power) + second_moment
+    mask = topology.inter_plus
+    cols, rows = np.nonzero(mask.T)  # entries column by column
+    quad = coupling[np.ix_(cols, cols)] * curvature[np.ix_(rows, rows)]
+    lin = (second_moment @ coupling)[rows, cols]
     q, ok, iterations = _active_set(quad[None], lin[None], cols, (rows == cols)[None])
-    coop = np.zeros(qp.support_mask.shape)
+    coop = np.zeros(mask.shape)
     coop[rows, cols] = q[0]
     # certified from the matrix-form gradient, independently of the assembly above
-    grad = qp.gradient(coop)
-    residual = max(kkt_residual(coop[i, k], grad[i, k]) for k, i in enumerate(qp.support_mask.T))
+    residual = max(_stationarity(coop, curvature, second_moment, coupling, mask)[1])
     certified = bool(ok[0]) and residual <= KKT_TOL
-    return coop, QPSolution(coop, qp.objective(coop), residual, iterations, certified)
+    quad_term = np.trace(coop @ coupling @ coop.T @ curvature)
+    lin_term = np.trace(coop @ coupling @ second_moment)
+    return coop, QPSolution(coop, float(quad_term - 2.0 * lin_term), residual, iterations, certified)

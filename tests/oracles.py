@@ -24,7 +24,6 @@ from maicnet.weight_opt import (
     EPS_RIDGE,
     KKT_TOL,
     QPSolution,
-    build_centralized_qp,
     kkt_residual,
 )
 
@@ -373,7 +372,7 @@ def primal_msd(combine, cooperation, model):
     matrices: one Stein solve ``S = B_N' S B_N + Y`` for ``Y = I`` and one per
     cluster indicator, each contracted with the forcing as ``<F, S> / size``."""
     operators = theory._operators(combine, cooperation, model)
-    noise, spread, cross = theory._forcing(model, operators, spectral_radius(operators[2]))
+    noise, spread, cross = theory._forcing(model, operators)
     rhs = [np.eye(model.n_nodes)]
     rhs.extend(np.diag((model.cluster_of == p).astype(float)) for p in range(model.n_clusters))
     solution = solve_stein(operators[2], np.stack(rhs)).reshape(len(rhs), -1)
@@ -756,7 +755,7 @@ def solve_learned_columns_loop(
     flat_power = state.increment_power.reshape(-1, n, n)
 
     learned = np.zeros((batch, n, n))
-    fallbacks = 0
+    fallbacks = np.zeros(batch, dtype=np.int64)
     for k, support in enumerate(neighbor_lists(topology)[2]):
         flat_power[:, support, k] = (
             alpha * flat_power[:, support, k] + (1.0 - alpha) * sq_dist[:, support, k]
@@ -775,12 +774,52 @@ def solve_learned_columns_loop(
         if bad.any():
             column[bad] = 0.0
             column[bad, support.index(k)] = 1.0
-            fallbacks += int(bad.sum())
+            fallbacks += bad
         learned[np.ix_(np.arange(batch), support, [k])] = column[:, :, None]
 
-    state.fallback_count += fallbacks
+    state.fallback_count += fallbacks.reshape(batch_shape)
     state.increment_power = flat_power.reshape(batch_shape + (n, n))
     return learned.reshape(batch_shape + (n, n))
+
+
+@dataclass(frozen=True)
+class CentralizedQP:
+    """Network-wide cooperation-weight program in trace-compressed form, the
+    program of the projected-gradient reference.
+
+    The full program lives on stacked (N*M)-dimensional moments; because
+    the unknown acts blockwise, every term collapses to traces of M x M
+    blocks, leaving N x N data. ``coupling`` is the combine-weight Gram
+    matrix, ``curvature`` the compressed noise-plus-parameter moment, and
+    ``cross`` the compressed parameter second moment.
+    """
+
+    coupling: np.ndarray  # (N, N)
+    curvature: np.ndarray  # (N, N)
+    cross: np.ndarray  # (N, N)
+    support_mask: np.ndarray  # (N, N) bool, column convention
+
+    def objective(self, coop: np.ndarray) -> float:
+        quad = np.trace(coop @ self.coupling @ coop.T @ self.curvature)
+        lin = np.trace(coop @ self.coupling @ self.cross)
+        return float(quad - 2.0 * lin)
+
+    def gradient(self, coop: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.curvature @ coop @ self.coupling - self.cross @ self.coupling)
+
+
+def build_centralized_qp(
+    model: SignalModel, topology: ClusteredTopology, combine: np.ndarray
+) -> CentralizedQP:
+    noise_term, second_moment = model.gradient_noise_power, model.second_moment_traces
+    coupling = combine @ combine.T
+    curvature = np.diag(noise_term) + second_moment
+    return CentralizedQP(
+        coupling=coupling,
+        curvature=curvature,
+        cross=second_moment,
+        support_mask=topology.inter_plus,
+    )
 
 
 def solve_p1_fista(

@@ -349,7 +349,8 @@ class TestAcceptance:
 
         _, one_model = scalar_node
         eye = np.eye(1)
-        msd, approx = theory.steady_state_msd(eye, eye, one_model)
+        report = theory.analyze(eye, eye, one_model)
+        msd, approx = report.msd, report.msd_approx
         expected = 1e-4 / 0.19
         assert abs(msd - expected) <= 1e-9 * expected
         assert abs(approx - expected) <= 1e-9 * expected

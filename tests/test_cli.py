@@ -16,6 +16,11 @@ from maicnet.harness import Scenario, SegmentSpec
 from maicnet.signal_model import draw_noises
 
 
+GRADIENT_NOISE_OVERFLOW = (
+    "gradient noise power overflows float64; reduce step_size, noise_var or reg_power"
+)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -410,6 +415,9 @@ class TestSimulate:
             ("a", ("segments", 0, "cluster_means", 0, 0), 1e160,
              "parameter second moment overflows float64"),
             ("a", ("sigma_w", 0), 1e200, "parameter covariance overflows float64"),
+            ("a", ("step_size",), 1e200, GRADIENT_NOISE_OVERFLOW),
+            ("a", ("step_size",), 1.3e154, GRADIENT_NOISE_OVERFLOW),
+            ("a", ("reg_power",), [1e308] * 10, GRADIENT_NOISE_OVERFLOW),
         ],
     )
     def test_malformed_scenario_file_fails_with_one_error_line(

@@ -21,7 +21,6 @@ from maicnet.harness import (
     MsdCurve,
     Scenario,
     compile_scenario,
-    msd_gain,
     msd_gain_se,
     run_scenario,
 )
@@ -461,9 +460,9 @@ class TestCurveStatistics:
             assert entry["n_valid_runs"] == 1 and entry["steady_state_db"] is not None
             assert entry["steady_se"] is None and entry["steady_se_db"] is None
         gain, se = msd_gain_se(result.curves["maic-p2"], result.curves["atc"])
-        assert summary["maic-p2"]["gain_over_atc_db"] == gain == msd_gain(
+        assert summary["maic-p2"]["gain_over_atc_db"] == gain == msd_gain_se(
             result.curves["maic-p2"], result.curves["atc"]
-        )
+        )[0]
         assert np.isnan(se) and summary["maic-p2"]["gain_over_atc_se_db"] is None
 
     def test_window_and_counts(self, result):
@@ -500,7 +499,7 @@ class TestCurveStatistics:
 
     def test_paired_gain_of_a_curve_with_itself_is_zero(self, result):
         curve = result.curves["atc"]
-        assert msd_gain(curve, curve) == 0.0
+        assert msd_gain_se(curve, curve)[0] == 0.0
 
     def test_gain_se_is_tighter_than_independent_errors(self, result):
         atc = result.curves["atc"]
@@ -520,8 +519,7 @@ class TestCurveStatistics:
 
         candidate = curve([0.1, 0.2, 10.0])
         baseline = curve([1.0, 2.0, np.nan])  # the baseline lost its third run
-        gain = msd_gain(candidate, baseline)
-        assert gain == msd_gain_se(candidate, baseline)[0]
+        gain = msd_gain_se(candidate, baseline)[0]
         assert gain == pytest.approx(10.0, abs=1e-12)
         # averaging each curve over its own valid runs would count the third run
         assert baseline.steady_state_db() - candidate.steady_state_db() != gain
@@ -565,6 +563,25 @@ class TestDivergenceHandling:
             assert curve.counts[-1] == 0
         assert np.isfinite(result.weights["maic-adaptive"]).all()
         assert result.diagnostics["qp_fallbacks"]["maic-adaptive"] == 0
+
+    def test_aborted_runs_count_no_qp_fallbacks(self):
+        # every restart overflows again, so the dead runs' weight programs fail every step
+        scenario = small("a", runs=4, iterations=40, strategies=("maic-adaptive",))
+        result = run_scenario(replace(scenario, reg_power=(1e300,) * scenario.n_nodes))
+        assert len(result.diagnostics["aborted"]["maic-adaptive"]) == 4
+        assert result.diagnostics["qp_fallbacks"]["maic-adaptive"] == 0
+        assert result.summary_dict()["strategies"]["maic-adaptive"]["qp_fallbacks"] == 0
+
+    def test_live_runs_count_their_qp_fallbacks(self, monkeypatch):
+        def failing(quad, lin):
+            return np.zeros(lin.shape), np.zeros(len(lin), dtype=bool)
+
+        monkeypatch.setattr(weight_opt, "solve_simplex_qp_batch", failing)
+        result = run_scenario(small("a", runs=3, iterations=5, strategies=("maic-adaptive",)))
+        assert result.diagnostics["aborted"]["maic-adaptive"] == []
+        solved = int((result.topology.inter_plus.sum(axis=0) > 1).sum())  # nodes 0, 6, 9 solve none
+        assert solved == 7
+        assert result.diagnostics["qp_fallbacks"]["maic-adaptive"] == 3 * 5 * solved
 
     def test_a_live_run_keeps_its_curve_next_to_aborted_ones(self):
         scenario = replace(

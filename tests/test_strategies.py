@@ -482,7 +482,7 @@ class TestAdaptiveStep:
         for _ in range(5):
             u, d = _draw_inputs(rng, 5, 2, (2,))
             maic_adaptive_step(state, u, d, combine, top, 0.7, mu)
-        assert state.fallback_count == 0
+        assert not state.fallback_count.any()
 
 
 class TestGroupedColumns:
@@ -522,13 +522,13 @@ class TestGroupedColumns:
             expected = solve_learned_columns_loop(looped, psi, top, 0.7, qp_solver)
             assert np.array_equal(learned, expected)
             assert np.array_equal(grouped.increment_power, looped.increment_power)
-            assert grouped.fallback_count == looped.fallback_count
+            assert np.array_equal(grouped.fallback_count, looped.fallback_count)
         return top, weights, learned, grouped
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_matches_the_per_node_loop(self, monkeypatch, batch):
         _, _, _, state = self._compare(monkeypatch, batch, solve_simplex_qp_batch)
-        assert state.fallback_count == 0
+        assert not state.fallback_count.any()
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_failed_instances_keep_the_own_node(self, monkeypatch, batch):
@@ -537,7 +537,7 @@ class TestGroupedColumns:
         )
         flat_w = weights.reshape(-1, 8, 3)
         learned = learned.reshape(-1, 8, 8)
-        failures = 0
+        failures = np.zeros(flat_w.shape[0], dtype=np.int64)
         for k, support in enumerate(top.inter_plus.T):
             if support.sum() == 1:
                 continue
@@ -547,5 +547,6 @@ class TestGroupedColumns:
             own[k] = 1.0
             assert all(np.array_equal(column, own) for column in learned[failed, :, k])
             assert not np.isnan(learned[:, :, k]).any()
-            failures += int(failed.sum())
-        assert state.fallback_count == failures > 0
+            failures += failed
+        assert np.array_equal(state.fallback_count.reshape(-1), failures)
+        assert failures.sum() > 0

@@ -24,7 +24,6 @@ from maicnet.theory import (
     mean_stability_bounds,
     spectral_radius,
     solve_stein,
-    steady_state_msd,
 )
 from maicnet.topology import (
     ClusteredTopology,
@@ -87,7 +86,7 @@ def _line_models(topology, line_model):
 def _traced_forcing(combine, cooperation, model):
     """The theory's (N, N) noise, spread and cross forcing."""
     operators = theory._operators(combine, cooperation, model)
-    return theory._forcing(model, operators, spectral_radius(operators[2]))
+    return theory._forcing(model, operators)
 
 
 def _node_means(model):
@@ -249,7 +248,7 @@ class TestSteinSolve:
         combine, _ = _line_weights(two_cluster_line)
         for model in _line_models(two_cluster_line, line_model):
             coop = _coop_from_regularizer(two_cluster_line, model)
-            _, _, cluster_msd = steady_state_msd(combine, coop, model, per_cluster=True)
+            cluster_msd = analyze(combine, coop, model).cluster_msd
             transition = mean_transition_reference(combine, coop, model)
             terms = msd_forcing_terms(combine, coop, model)
             full = terms.gradient_noise + terms.parameter_spread + terms.cross_limit
@@ -311,11 +310,16 @@ class TestForcingTerms:
             scale = max(np.linalg.norm(reference), 1e-300)
             assert np.linalg.norm(cross - reference) <= 1e-10 * scale
 
-    def test_unstable_configuration_is_rejected(self, scalar_node):
+    def test_unstable_configuration_is_rejected(self, scalar_node, monkeypatch):
         _, model = scalar_node
         runaway = replace(model, step_size=3.0)
-        with pytest.raises(ValueError, match="mean-unstable"):
-            _traced_forcing(np.eye(1), np.eye(1), runaway)
+
+        def unreachable(*args):
+            raise AssertionError("forcing formed for a mean-unstable configuration")
+
+        # the theory forms its forcing only for a mean-stable configuration
+        monkeypatch.setattr(theory, "_forcing", unreachable)
+        assert analyze(np.eye(1), np.eye(1), runaway).msd is None
         with pytest.raises(ValueError, match="mean-unstable"):
             msd_forcing_terms(np.eye(1), np.eye(1), runaway)
 
@@ -323,7 +327,8 @@ class TestForcingTerms:
 class TestSteadyStateMsd:
     def test_scalar_frozen_value(self, scalar_node):
         _, model = scalar_node
-        msd, msd_approx = steady_state_msd(np.eye(1), np.eye(1), model)
+        report = analyze(np.eye(1), np.eye(1), model)
+        msd, msd_approx = report.msd, report.msd_approx
         assert abs(msd - SCALAR_MSD) <= 1e-9 * SCALAR_MSD
         assert abs(msd_approx - SCALAR_MSD) <= 1e-9 * SCALAR_MSD
 
@@ -331,7 +336,8 @@ class TestSteadyStateMsd:
         combine, _ = _line_weights(two_cluster_line)
         for model in _line_models(two_cluster_line, line_model):
             coop = _coop_from_regularizer(two_cluster_line, model)
-            msd, msd_approx = steady_state_msd(combine, coop, model)
+            report = analyze(combine, coop, model)
+            msd, msd_approx = report.msd, report.msd_approx
 
             transition = mean_transition_reference(combine, coop, model)
             noise_ref, spread_ref = forcing_matrices_reference(combine, coop, model)
@@ -348,17 +354,17 @@ class TestSteadyStateMsd:
     ):
         combine, _ = _line_weights(two_cluster_line)
         coop = _coop_from_regularizer(two_cluster_line, line_model)
-        msd, _, cluster_msd = steady_state_msd(
-            combine, coop, line_model, per_cluster=True
-        )
+        report = analyze(combine, coop, line_model)
+        msd, cluster_msd = report.msd, report.cluster_msd
         sizes = np.bincount(line_model.cluster_of)
         assert np.isclose(float(sizes @ cluster_msd), line_model.n_nodes * msd, rtol=1e-12)
 
     def test_unstable_configuration_is_rejected(self, scalar_node):
         _, model = scalar_node
         runaway = replace(model, step_size=3.0)
-        with pytest.raises(ValueError, match="mean-square-unstable"):
-            steady_state_msd(np.eye(1), np.eye(1), runaway)
+        report = analyze(np.eye(1), np.eye(1), runaway)
+        assert report.mean_square_stable is False
+        assert report.msd is None
 
     def test_cooperation_helps_under_strong_correlation(self, two_cluster_line):
         """Borrowing across clusters lowers the network deviation when the
@@ -380,14 +386,14 @@ class TestSteadyStateMsd:
         combine, rho = _line_weights(two_cluster_line)
         close = build(0.0)
         coop = _coop_from_regularizer(two_cluster_line, close, eta=2.0)
-        msd_coop, _ = steady_state_msd(combine, coop, close)
-        msd_alone, _ = steady_state_msd(combine, np.eye(4), close)
+        msd_coop = analyze(combine, coop, close).msd
+        msd_alone = analyze(combine, np.eye(4), close).msd
         assert msd_coop < msd_alone
 
         far = build(3.0)
         coop_far = _coop_from_regularizer(two_cluster_line, far, eta=2.0)
-        msd_coop_far, _ = steady_state_msd(combine, coop_far, far)
-        msd_alone_far, _ = steady_state_msd(combine, np.eye(4), far)
+        msd_coop_far = analyze(combine, coop_far, far).msd
+        msd_alone_far = analyze(combine, np.eye(4), far).msd
         assert msd_coop_far > msd_alone_far
 
 
@@ -396,9 +402,8 @@ class TestAdjointRoute:
 
     @staticmethod
     def _assert_matches_the_primal(combine, cooperation, model):
-        msd, msd_approx, cluster_msd = steady_state_msd(
-            combine, cooperation, model, per_cluster=True
-        )
+        report = analyze(combine, cooperation, model)
+        msd, msd_approx, cluster_msd = report.msd, report.msd_approx, report.cluster_msd
         reference = primal_msd(combine, cooperation, model)
         assert _relative(msd, reference[0]) <= 1e-12
         assert _relative(msd_approx, reference[1]) <= 1e-12
@@ -426,7 +431,7 @@ class TestAdjointRoute:
             return solve_stein(transition, rhs)
 
         monkeypatch.setattr(theory, "solve_stein", spy)
-        steady_state_msd(combine, coop, model, per_cluster=True)
+        analyze(combine, coop, model)
         assert shapes == [(2, n, n)]
 
 
@@ -439,7 +444,7 @@ class TestAnalyze:
         assert report.mean_stable and report.mean_square_stable
         assert abs(report.rho_variance - report.rho_mean**2) <= 1e-8
         assert report.rho_mean <= report.contraction + 1e-12
-        direct = steady_state_msd(combine, coop, line_model)
+        direct = primal_msd(combine, coop, line_model)
         assert np.isclose(report.msd, direct[0], rtol=1e-12)
         assert report.msd_db == pytest.approx(10 * np.log10(report.msd))
         assert report.cluster_msd.shape == (2,)
